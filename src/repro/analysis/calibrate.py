@@ -23,7 +23,7 @@ import numpy as np
 from ..core.lower_bound import dtw_lb
 from ..distance.dtw import dtw_max
 from ..exceptions import ValidationError
-from ..types import SequenceLike, as_array
+from ..types import SequenceLike, as_array, check_epsilon
 
 __all__ = ["DistanceProfile", "suggest_epsilon"]
 
@@ -51,8 +51,7 @@ class DistanceProfile:
 
     def selectivity_at(self, epsilon: float) -> float:
         """Estimated fraction of pairs within *epsilon*."""
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         return float((self.true_distances <= epsilon).mean())
 
     def filtering_power_at(self, epsilon: float) -> float:
@@ -61,8 +60,7 @@ class DistanceProfile:
         ``1 - P(D_tw-lb <= eps)``: how much of the database a range
         query avoids touching.
         """
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         return float((self.lower_bounds > epsilon).mean())
 
 

@@ -20,7 +20,7 @@ from ..core.lower_bound import feature_rect
 from ..distance.dtw import dtw_max_early_abandon
 from ..exceptions import ValidationError
 from ..index.rtree.bulk import STRBulkLoader
-from ..types import SequenceLike, as_array
+from ..types import SequenceLike, as_array, check_epsilon
 
 __all__ = ["SimilarityPair", "similarity_self_join", "similarity_graph"]
 
@@ -47,8 +47,7 @@ def similarity_self_join(
     """
     if not sequences:
         raise ValidationError("self-join requires at least one sequence")
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+    check_epsilon(epsilon)
     arrays = [as_array(seq, allow_empty=False) for seq in sequences]
     features = [extract_feature(arr) for arr in arrays]
 

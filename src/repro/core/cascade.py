@@ -44,16 +44,12 @@ from typing import Callable, Iterable, Sequence as TypingSequence
 import numpy as np
 
 from ..distance.bands import sakoe_chiba_window
-from ..distance.dtw import (
-    dtw_max_early_abandon,
-    dtw_max_matrix,
-    dtw_max_within,
-)
+from ..distance.dtw import dtw_max_early_abandon, dtw_max_within
 from ..distance.lb_keogh import lb_keogh_batch, warping_envelope
 from ..exceptions import ValidationError
 from ..obs.metrics import active_registry, timed
 from ..storage.database import SequenceDatabase
-from ..types import Sequence, SequenceLike, as_array, as_sequence
+from ..types import Sequence, SequenceLike, as_array, as_sequence, check_epsilon
 from .features import extract_feature
 from .lower_bound import filter_margin
 
@@ -563,8 +559,7 @@ class FilterCascade:
         tolerance — the no-false-dismissal guarantee, tier by tier.
         """
         query_arr = as_array(query, allow_empty=False)
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         if rows is None:
             rows = np.arange(len(self._store), dtype=np.int64)
         else:
@@ -634,16 +629,15 @@ class FilterCascade:
 
         def verify(row: int) -> float:
             values = self._store.values(int(row))
-            if band_radius is not None:
-                window = sakoe_chiba_window(
-                    values.size, query_arr.size, band_radius
+            window = (
+                None
+                if band_radius is None
+                else sakoe_chiba_window(values.size, query_arr.size, band_radius)
+            )
+            if compute_distances or window is not None:
+                return dtw_max_early_abandon(
+                    values, query_arr, epsilon, window=window
                 )
-                distance = dtw_max_matrix(
-                    values, query_arr, window=window
-                ).distance
-                return distance if distance <= epsilon else float("inf")
-            if compute_distances:
-                return dtw_max_early_abandon(values, query_arr, epsilon)
             if dtw_max_within(values, query_arr, epsilon):
                 return epsilon
             return float("inf")
@@ -727,8 +721,7 @@ class FilterCascade:
         per-query passes.  Results are identical to calling :meth:`run`
         per query (the exact verification stage is shared).
         """
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         query_arrs = [as_array(q, allow_empty=False) for q in queries]
         if not query_arrs:
             return []

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..exceptions import ValidationError
-from ..types import SequenceLike
+from ..types import SequenceLike, check_epsilon
 from .features import FeatureVector, extract_feature
 
 __all__ = [
@@ -126,8 +126,7 @@ def feature_rect(
     last place of ``|c| + eps``); it can only admit extra candidates,
     which verification discards.
     """
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+    check_epsilon(epsilon)
 
     def bounds(c: float) -> tuple[float, float]:
         margin = filter_margin(c, epsilon)

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Protocol
 import numpy as np
 
 from ..distance.bands import sakoe_chiba_window
-from ..distance.dtw import dtw_max_early_abandon, dtw_max_matrix
+from ..distance.dtw import dtw_max_early_abandon
 from ..exceptions import ValidationError
 from ..index.backend import IndexBackend, make_backend
 from ..obs.metrics import (
@@ -33,7 +33,7 @@ from ..obs.metrics import (
 from ..obs.querylog import record_query
 from ..obs.tracing import maybe_span
 from ..storage.database import SequenceDatabase
-from ..types import Sequence, SequenceLike, as_sequence
+from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
 from .cascade import STAGE_DTW, CascadeStats, FilterCascade, charged_stage
 
 __all__ = [
@@ -365,8 +365,7 @@ class QueryEngine:
         q = as_sequence(query)
         if len(q) == 0:
             raise ValidationError("query sequence must be non-empty")
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         with self._query_scope() as per_query, maybe_span(
             "engine.search", backend=self._backend.name, epsilon=epsilon
         ):
@@ -390,16 +389,32 @@ class QueryEngine:
                 matches: list[SearchOutcome] = []
                 with timed("dtw.verify.seconds"):
                     for row in surviving:
-                        seq_id = int(ids[row])
-                        stored = cascade.store.sequences[int(row)]
-                        self._db.charge_fetch(seq_id)
-                        distance = self._verify_distance(
-                            stored.values, q.values, epsilon, band_radius
-                        )
-                        if distance <= epsilon:
-                            matches.append(
-                                SearchOutcome(seq_id, distance, stored)
+                        self._db.charge_fetch(int(ids[row]))
+                    lengths = cascade.store.lengths[surviving]
+                    for length in dict.fromkeys(lengths.tolist()):
+                        group = surviving[lengths == length]
+                        window = (
+                            None
+                            if band_radius is None
+                            else sakoe_chiba_window(
+                                int(length), len(q), band_radius
                             )
+                        )
+                        stack = np.stack(
+                            [cascade.store.values(int(row)) for row in group]
+                        )
+                        distances = dtw_max_early_abandon(
+                            stack, q.values, epsilon, window=window, stacked=True
+                        )
+                        for row, distance in zip(group, distances.tolist()):
+                            if distance <= epsilon:
+                                matches.append(
+                                    SearchOutcome(
+                                        int(ids[row]),
+                                        distance,
+                                        cascade.store.sequences[int(row)],
+                                    )
+                                )
                 stages.append(
                     charged_stage(STAGE_DTW, int(surviving.size), len(matches))
                 )
@@ -464,8 +479,7 @@ class QueryEngine:
         for q in query_seqs:
             if len(q) == 0:
                 raise ValidationError("query sequence must be non-empty")
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         with self._query_scope() as per_query, maybe_span(
             "engine.search_many",
             backend=self._backend.name,
@@ -586,15 +600,3 @@ class QueryEngine:
                 total_metric="engine.knn.seconds",
             )
         return result
-
-    @staticmethod
-    def _verify_distance(
-        s_values: np.ndarray,
-        q_values: np.ndarray,
-        epsilon: float,
-        band_radius: int | None,
-    ) -> float:
-        if band_radius is None:
-            return dtw_max_early_abandon(s_values, q_values, epsilon)
-        window = sakoe_chiba_window(len(s_values), len(q_values), band_radius)
-        return dtw_max_matrix(s_values, q_values, window=window).distance

@@ -48,7 +48,7 @@ from ..obs.querylog import record_query
 from ..obs.tracing import maybe_span
 from ..storage.database import SequenceDatabase
 from ..storage.diskmodel import DiskModel
-from ..types import Sequence, SequenceLike, as_sequence
+from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
 from .cascade import CascadeStats
 from .query_engine import BatchResult, QueryEngine, QueryResult, SearchOutcome
 
@@ -425,6 +425,7 @@ class ShardedDatabase:
         band_radius: int | None = None,
     ) -> QueryResult:
         """:meth:`search` with shard-merged stats on the return path."""
+        check_epsilon(epsilon)
         with self._query_scope() as per_query, maybe_span(
             "sharded.search", shards=self._n, backend=self._backend_name
         ):
@@ -492,6 +493,7 @@ class ShardedDatabase:
         band_radius: int | None = None,
     ) -> BatchResult:
         """:meth:`search_many` with shard-merged return-path stats."""
+        check_epsilon(epsilon)
         query_list = [as_sequence(query) for query in queries]
         with self._query_scope() as per_query, maybe_span(
             "sharded.search_many",

@@ -14,7 +14,7 @@ after every element
   early abandoning.)
 
 Each element costs one ``O(|Q|)`` vectorized column update, the same
-sweep the suffix-tree traversal and the reachability test use.
+sweep the suffix-tree traversal uses.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..obs.metrics import count as _charge
-from ..types import SequenceLike, as_array
+from ..types import SequenceLike, as_array, check_epsilon
 
 __all__ = ["StreamMonitor"]
 
@@ -41,8 +41,7 @@ class StreamMonitor:
 
     def __init__(self, query: SequenceLike, epsilon: float) -> None:
         q = as_array(query, allow_empty=False)
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         self._query = q
         self._epsilon = float(epsilon)
         self._m = q.size

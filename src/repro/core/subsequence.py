@@ -27,7 +27,7 @@ from ..exceptions import ValidationError
 from ..index.rtree.bulk import STRBulkLoader
 from ..index.rtree.rtree import RTree
 from ..obs.metrics import count as _charge
-from ..types import Sequence, SequenceLike, as_sequence
+from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
 from .features import extract_feature
 from .lower_bound import feature_rect
 
@@ -170,8 +170,7 @@ class SubsequenceIndex:
         q = as_sequence(query)
         if len(q) == 0:
             raise ValidationError("query sequence must be non-empty")
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         rect = feature_rect(extract_feature(q.values), epsilon)
         matches: list[SubsequenceMatch] = []
         _charge("subseq.queries")

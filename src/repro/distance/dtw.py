@@ -23,18 +23,18 @@ the ``reference`` kernel, so the choice affects wall time only — never
 distances, paths, or the charged ``dtw.*`` metrics.  The full-matrix
 entry points (:func:`dtw_additive_matrix`, :func:`dtw_max_matrix`) cost
 ``O(|S| x |Q|)`` time and memory and support warping-path recovery and
-global constraint windows.  For the max recurrence we additionally
-exploit a classical minimax-path identity: ``dtw_max(S, Q) <= t`` iff
-the cell ``(|S|-1, |Q|-1)`` is reachable from ``(0, 0)`` through cells
-with ``|s_i - q_j| <= t`` using (right / down / diagonal) steps.
-Reachability is computed row-by-row with vectorized numpy, and the exact
-distance is found by binary search over the ``O(|S| x |Q|)`` candidate
-difference values — in practice an order of magnitude faster than the
-Python DP loop.  :func:`dtw_max_early_abandon` runs a single
-reachability pass at the query tolerance and gives the early-exit
-behaviour the paper relies on in its post-processing step (section 4.1:
-with ``L_inf``, a sequence can be discarded the moment no admissible
-path remains).
+global constraint windows.  Every other Definition-2 entry point —
+:func:`dtw_max`, :func:`dtw_max_within`, :func:`dtw_distance` — is one
+*bounded pass* (:func:`dtw_max_early_abandon`): the kernel fills the
+max recurrence one anti-diagonal at a time and returns the exact value
+when it is ``<= epsilon``, else ``inf``.  Because minimax only compares
+and never rounds, that value is bit-identical to the matrix corner.
+The pass gives up once two consecutive anti-diagonals hold no cell
+within tolerance — no warping path can cross both — which is the
+early-exit behaviour the paper relies on in its post-processing step
+(section 4.1: with ``L_inf``, a sequence can be discarded the moment no
+admissible path remains).  A ``stacked=True`` form verifies a
+``(k, n)`` stack of equal-length candidates in one wavefront.
 
 Metric charging happens here, in the wrappers, from the structured
 outcome a kernel returns — never inside a kernel.  That makes the
@@ -47,13 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Literal, Optional, overload
 
 import numpy as np
 
 from ..exceptions import ValidationError
 from ..obs.metrics import active_registry
-from ..types import SequenceLike, as_array
+from ..types import SequenceLike, as_array, check_epsilon
 from .bands import Window
 from .base import BaseDistance, LINF
 from .kernels import active_kernel
@@ -112,6 +112,11 @@ def _empty_case(n: int, m: int) -> Optional[float]:
     return None
 
 
+def _check_window(window: Window | None, n: int) -> None:
+    if window is not None and len(window) != n:
+        raise ValidationError(f"window has {len(window)} rows but |S| = {n}")
+
+
 # ----------------------------------------------------------------------
 # Definition 1: additive accumulation (L1 / L2 base)
 # ----------------------------------------------------------------------
@@ -139,10 +144,7 @@ def dtw_additive_matrix(
         raise ValidationError(
             "use dtw_max / dtw_max_matrix for the L_inf accumulation rule"
         )
-    if window is not None and len(window) != n:
-        raise ValidationError(
-            f"window has {len(window)} rows but |S| = {n}"
-        )
+    _check_window(window, n)
 
     power = 2.0 if base is BaseDistance.L2 else 1.0
     acc = active_kernel().additive_matrix(
@@ -176,8 +178,7 @@ def dtw_additive(
         return boundary
     if base is BaseDistance.LINF:
         raise ValidationError("use dtw_max for the L_inf accumulation rule")
-    if window is not None and len(window) != n:
-        raise ValidationError(f"window has {len(window)} rows but |S| = {n}")
+    _check_window(window, n)
 
     power = 2.0 if base is BaseDistance.L2 else 1.0
     cutoff = None
@@ -219,8 +220,7 @@ def dtw_max_matrix(
     boundary = _empty_case(n, m)
     if boundary is not None:
         return DtwResult(boundary, np.zeros((n, m)), LINF)
-    if window is not None and len(window) != n:
-        raise ValidationError(f"window has {len(window)} rows but |S| = {n}")
+    _check_window(window, n)
 
     acc = active_kernel().max_matrix(s_arr, q_arr, window=window)
     _charge_cells(n * m)
@@ -239,80 +239,142 @@ def _charge_cells(cells: int, *, abandon_depth: float | None = None) -> None:
         registry.observe("dtw.abandon_depth", abandon_depth)
 
 
-def _reachable(s_arr: np.ndarray, q_arr: np.ndarray, t: float) -> bool:
-    """Can a warping path connect the corners using only cells with
-    ``|s_i - q_j| <= t``?
+def _admissible_cells(n: int, m: int, window: Window | None, diagonal: int) -> int:
+    """Grid cells inside *window* on anti-diagonals ``0..diagonal``."""
+    rows = np.arange(n)
+    if window is None:
+        per_row = np.minimum(m, diagonal + 1 - rows)
+    else:
+        bounds = np.asarray(window, dtype=np.intp)
+        per_row = np.minimum(bounds[:, 1], diagonal + 1 - rows) - bounds[:, 0]
+    return int(np.clip(per_row, 0, None).sum())
 
-    Steps allowed: right, down, diagonal — the DTW path moves.  Works
-    row by row with ``O(|Q|)`` memory, computing each row of the
-    admissibility grid on the fly: within each maximal run of admissible
-    cells, reachability propagates rightward from any cell seeded by the
-    previous row.
 
-    Instrumentation: ``dtw.cells`` counts grid cells whose admissibility
-    was evaluated; an exit before the last row also charges
-    ``dtw.early_abandons`` and observes ``dtw.abandon_depth`` (fraction
-    of rows completed when the pass gave up).
+def _charge_bounded(
+    n: int, m: int, window: Window | None, diagonal: int | None
+) -> None:
+    """Charge one bounded pass from the kernel's abandon diagonal.
+
+    ``dtw.cells`` counts the admissible cells on the diagonals the pass
+    filled (all of them for a completed pass); an abandon also observes
+    ``dtw.abandon_depth``, the fraction of the ``n + m - 1`` diagonals
+    completed.
     """
-    ok, cells, depth = active_kernel().reachable(s_arr, q_arr, t)
-    _charge_cells(cells, abandon_depth=depth)
-    return ok
+    if active_registry() is None:
+        return
+    if diagonal is None:
+        _charge_cells(_admissible_cells(n, m, window, n + m - 2))
+    else:
+        _charge_cells(
+            _admissible_cells(n, m, window, diagonal),
+            abandon_depth=(diagonal + 1) / (n + m - 1),
+        )
 
 
-#: Above this many grid cells, exact value refinement switches from a
-#: discrete search over all pairwise differences to a bounded bisection
-#: (results then carry a ~1e-12 relative tolerance).
-_DENSE_CELL_LIMIT = 4_000_000
+@overload
+def dtw_max_early_abandon(
+    s: SequenceLike,
+    q: SequenceLike,
+    epsilon: float,
+    *,
+    window: Window | None = None,
+    stacked: Literal[False] = False,
+) -> float: ...
 
-#: Bisection iterations for the large-input refinement path.
-_BISECT_ITERATIONS = 100
+
+@overload
+def dtw_max_early_abandon(
+    s: np.ndarray,
+    q: SequenceLike,
+    epsilon: float,
+    *,
+    window: Window | None = None,
+    stacked: Literal[True],
+) -> np.ndarray: ...
 
 
-def _refine_exact(
-    s_arr: np.ndarray, q_arr: np.ndarray, upper: float
-) -> float:
-    """Exact minimax value given that a path exists at threshold *upper*.
+def dtw_max_early_abandon(
+    s: SequenceLike,
+    q: SequenceLike,
+    epsilon: float,
+    *,
+    window: Window | None = None,
+    stacked: bool = False,
+) -> float | np.ndarray:
+    """Exact Definition-2 distance if it is ``<= epsilon``, else ``inf``.
 
-    Binary-searches the sorted set of pairwise differences not
-    exceeding *upper* — the answer is always one of them (the path's
-    bottleneck pair).
+    The bounded pass every search method verifies with — the kernel's
+    ``max_bounded`` primitive.  It rejects in O(1) when a corner pair
+    already exceeds *epsilon*, and otherwise fills the max-recurrence
+    wavefront once, giving up as soon as two consecutive anti-diagonals
+    hold no cell within *epsilon* (the ``L_inf`` early-abandon advantage
+    of paper section 4.1).  Minimax only compares, so the value is
+    bit-identical to :func:`dtw_max_matrix`'s corner.  *window*
+    restricts the warping path (the banded distance).
+
+    With ``stacked=True``, *s* is a ``(k, n)`` array of equal-length
+    candidates verified against *q* in one pass; the result is the
+    ``k`` distances, and every lane is charged exactly what a single
+    call would charge, in lane order.
     """
-    diff = np.abs(s_arr[:, None] - q_arr[None, :])
-    candidates = np.unique(diff[diff <= upper])
-    lo, hi = 0, candidates.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _reachable(s_arr, q_arr, float(candidates[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
+    check_epsilon(epsilon)
+    q_arr = as_array(q)
+    if stacked:
+        return _bounded_stack(np.asarray(s, dtype=np.float64), q_arr, epsilon, window)
+    s_arr = as_array(s)
+    n, m = s_arr.size, q_arr.size
+    boundary = _empty_case(n, m)
+    if boundary is not None:
+        return boundary if boundary <= epsilon else _INF
+    _check_window(window, n)
+    # Both corners lie on every warping path: a corner pair beyond
+    # epsilon rejects in O(1), charged as 2 cells at depth 0.
+    if (
+        abs(float(s_arr[0]) - float(q_arr[0])) > epsilon
+        or abs(float(s_arr[-1]) - float(q_arr[-1])) > epsilon
+    ):
+        _charge_cells(2, abandon_depth=0.0)
+        return _INF
+    value, diagonal = active_kernel().max_bounded(s_arr, q_arr, epsilon, window)
+    _charge_bounded(n, m, window, diagonal)
+    return value
 
 
-def _refine_bisect(
-    s_arr: np.ndarray, q_arr: np.ndarray, lower: float, upper: float
-) -> float:
-    """Bisection refinement for inputs too large to enumerate differences."""
-    for _ in range(_BISECT_ITERATIONS):
-        mid = 0.5 * (lower + upper)
-        if mid == lower or mid == upper:
-            break
-        if _reachable(s_arr, q_arr, mid):
-            upper = mid
-        else:
-            lower = mid
-    return upper
+def _bounded_stack(
+    stack: np.ndarray, q_arr: np.ndarray, epsilon: float, window: Window | None
+) -> np.ndarray:
+    """The ``stacked=True`` form of :func:`dtw_max_early_abandon`.
 
-
-def _refine(s_arr: np.ndarray, q_arr: np.ndarray, upper: float) -> float:
-    """Dispatch between exact and bisection refinement by grid size."""
-    if s_arr.size * q_arr.size <= _DENSE_CELL_LIMIT:
-        return _refine_exact(s_arr, q_arr, upper)
-    lower = max(
-        abs(float(s_arr[0]) - float(q_arr[0])),
-        abs(float(s_arr[-1]) - float(q_arr[-1])),
+    Lanes whose corner pair differs by more than *epsilon* are rejected
+    and charged as a single call would, and never reach the kernel.
+    """
+    if stack.ndim != 2 or stack.shape[1] == 0 or q_arr.size == 0:
+        raise ValidationError(
+            f"a stacked verify needs a non-empty (k, n) stack and query, "
+            f"got {stack.shape} and {q_arr.size}"
+        )
+    if not np.all(np.isfinite(stack)):
+        raise ValidationError("sequence elements must be finite numbers")
+    k, n = stack.shape
+    m = q_arr.size
+    _check_window(window, n)
+    values = np.full(k, _INF)
+    corner_ok = (np.abs(stack[:, 0] - q_arr[0]) <= epsilon) & (
+        np.abs(stack[:, -1] - q_arr[-1]) <= epsilon
     )
-    return _refine_bisect(s_arr, q_arr, lower, upper)
+    lanes = np.flatnonzero(corner_ok)
+    abandoned = np.full(k, -1, dtype=np.int64)
+    if lanes.size:
+        values[lanes], abandoned[lanes] = active_kernel().max_bounded_many(
+            stack[lanes], q_arr, epsilon, window
+        )
+    for lane in range(k):
+        if not corner_ok[lane]:
+            _charge_cells(2, abandon_depth=0.0)
+        else:
+            diagonal = int(abandoned[lane])
+            _charge_bounded(n, m, window, diagonal if diagonal >= 0 else None)
+    return values
 
 
 def dtw_max_within(
@@ -320,65 +382,21 @@ def dtw_max_within(
 ) -> bool:
     """Decision procedure: is ``dtw_max(S, Q) <= epsilon``?
 
-    Runs a single vectorized reachability pass over the boolean grid
-    ``|s_i - q_j| <= epsilon``; this is the minimax-path characterization
-    of the Definition-2 distance.
+    One bounded pass (:func:`dtw_max_early_abandon`) compared against
+    *epsilon* — the minimax-path characterization of the Definition-2
+    distance.
     """
-    s_arr, q_arr = _check_operands(s, q)
-    n, m = s_arr.size, q_arr.size
-    boundary = _empty_case(n, m)
-    if boundary is not None:
-        return boundary <= epsilon
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
-    return _reachable(s_arr, q_arr, epsilon)
+    return dtw_max_early_abandon(s, q, epsilon) <= epsilon
 
 
 def dtw_max(s: SequenceLike, q: SequenceLike) -> float:
     """The paper's time-warping distance (Definition 2, exact value).
 
-    Computed by binary search over pairwise element differences using
-    the minimax-path reachability test; equals the bottom-right cell of
-    :func:`dtw_max_matrix` but is much faster for long sequences.  For
-    very large inputs (beyond ``_DENSE_CELL_LIMIT`` grid cells) the
-    refinement bisects on a continuous interval instead and the result
-    carries a ~1e-12 relative tolerance.
+    The bounded pass at ``epsilon = inf``: one max-recurrence wavefront,
+    exact at every size and bit-identical to the bottom-right cell of
+    :func:`dtw_max_matrix`.
     """
-    s_arr, q_arr = _check_operands(s, q)
-    n, m = s_arr.size, q_arr.size
-    boundary = _empty_case(n, m)
-    if boundary is not None:
-        return boundary
-    # The answer is one of the pairwise differences (the path
-    # bottleneck); the largest possible difference always admits a path.
-    upper = max(
-        abs(float(s_arr.max()) - float(q_arr.min())),
-        abs(float(q_arr.max()) - float(s_arr.min())),
-    )
-    return _refine(s_arr, q_arr, upper)
-
-
-def dtw_max_early_abandon(
-    s: SequenceLike, q: SequenceLike, epsilon: float
-) -> float:
-    """Exact Definition-2 distance if it is ``<= epsilon``, else ``inf``.
-
-    This is the verification primitive every search method uses in its
-    post-processing step: a single cheap reachability pass rejects
-    non-qualifying sequences (the ``L_inf`` early-abandon advantage the
-    paper describes in section 4.1), and only survivors pay for the
-    exact-value refinement.
-    """
-    s_arr, q_arr = _check_operands(s, q)
-    n, m = s_arr.size, q_arr.size
-    boundary = _empty_case(n, m)
-    if boundary is not None:
-        return boundary if boundary <= epsilon else _INF
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
-    if not _reachable(s_arr, q_arr, epsilon):
-        return _INF
-    return _refine(s_arr, q_arr, epsilon)
+    return dtw_max_early_abandon(s, q, _INF)
 
 
 def dtw_distance(
@@ -392,20 +410,14 @@ def dtw_distance(
     """Unified entry point for the time-warping distance.
 
     Dispatches on the accumulation rule: :attr:`BaseDistance.LINF`
-    (the paper's Definition 2) uses the fast minimax algorithm, ``L1`` /
+    (the paper's Definition 2) uses the bounded minimax pass, ``L1`` /
     ``L2`` (Definition 1) use the additive DP.  *threshold* enables
     early abandoning: the result is ``inf`` whenever the true distance
     exceeds it.
     """
     if base is LINF:
-        if window is not None:
-            result = dtw_max_matrix(s, q, window=window).distance
-            if threshold is not None and result > threshold:
-                return _INF
-            return result
-        if threshold is not None:
-            return dtw_max_early_abandon(s, q, threshold)
-        return dtw_max(s, q)
+        epsilon = _INF if threshold is None else threshold
+        return dtw_max_early_abandon(s, q, epsilon, window=window)
     return dtw_additive(s, q, base=base, window=window, threshold=threshold)
 
 

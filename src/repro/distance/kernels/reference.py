@@ -2,9 +2,9 @@
 
 This is the semantics oracle every other kernel is pinned to: the
 per-cell two-row additive DP and full-matrix fills exactly as they
-shipped before the registry existed, plus the vectorized minimax
-reachability pass for the Definition-2 distance.  Nothing here charges
-metrics — kernels return structured outcomes and the wrappers in
+shipped before the registry existed, and the bounded Definition-2 pass
+read off the full max-recurrence matrix after the fact.  Nothing here
+charges metrics — kernels return structured outcomes and the wrappers in
 :mod:`repro.distance.dtw` translate them into identical ``dtw.*``
 charges for every kernel.
 """
@@ -154,48 +154,53 @@ class ReferenceKernel:
                 acc_row[j] = c if c > reach else reach
         return acc
 
-    def reachable(
-        self, s_arr: np.ndarray, q_arr: np.ndarray, t: float
-    ) -> tuple[bool, int, float | None]:
-        """Can a warping path connect the corners using only cells with
-        ``|s_i - q_j| <= t``?
+    def max_bounded(
+        self,
+        s_arr: np.ndarray,
+        q_arr: np.ndarray,
+        eps: float,
+        window: Window | None = None,
+    ) -> tuple[float, int | None]:
+        """The bounded pass, derived after the fact from the full matrix.
 
-        Steps allowed: right, down, diagonal — the DTW path moves.  Works
-        row by row with ``O(|Q|)`` memory, computing each row of the
-        admissibility grid on the fly: within each maximal run of
-        admissible cells, reachability propagates rightward from any cell
-        seeded by the previous row.
-
-        Returns ``(reachable, cells evaluated, abandon depth)``; the
-        depth is the fraction of rows completed when an early exit gave
-        up, or ``None`` for a full pass.
+        Thresholding the max-recurrence matrix at *eps* yields exactly
+        the cells a thresholded wavefront keeps (accumulated values only
+        grow along a path), so the abandon diagonal is the first ``d``
+        where diagonals ``d - 1`` and ``d`` hold no live cell.
         """
-        n, m = s_arr.size, q_arr.size
-        # Both corners lie on every warping path; reject in O(1) when
-        # either is inadmissible (this is the early-abandon fast path).
-        if abs(s_arr[0] - q_arr[0]) > t or abs(s_arr[-1] - q_arr[-1]) > t:
-            return False, 2, 0.0
-        idx = np.arange(m)
-        # Row 0: reachable prefix of admissible cells.
-        ok_row = np.abs(s_arr[0] - q_arr) <= t
-        reach = ok_row & (np.cumsum(~ok_row) == 0)
-        shifted = np.empty(m, dtype=bool)
-        for i in range(1, n):
-            ok_row = np.abs(s_arr[i] - q_arr) <= t
-            # Cells seeded directly from row i-1 (down or diagonal step).
-            shifted[0] = False
-            shifted[1:] = reach[:-1]
-            seed = ok_row & (reach | shifted)
-            if not seed.any():
-                return False, (i + 1) * m, (i + 1) / n
-            # Propagate right within runs: cell j is reachable iff some
-            # seed at k <= j has no inadmissible cell in (k, j].  A seed
-            # position is itself admissible, so ``last_seed > last_block``
-            # holds exactly at and after a seed within its run.
-            last_block = np.maximum.accumulate(np.where(~ok_row, idx, -1))
-            last_seed = np.maximum.accumulate(np.where(seed, idx, -1))
-            reach = ok_row & (last_seed > last_block)
-        return bool(reach[m - 1]), n * m, None
+        acc = ReferenceKernel.max_matrix(self, s_arr, q_arr, window=window)
+        n, m = acc.shape
+        live = (acc <= eps) & (acc < _INF)
+        diagonal = np.add.outer(np.arange(n), np.arange(m))
+        live_diagonals = np.bincount(
+            diagonal.ravel(), weights=live.ravel(), minlength=n + m - 1
+        )
+        dead = live_diagonals == 0
+        pairs = np.flatnonzero(dead[:-1] & dead[1:])
+        if pairs.size:
+            return _INF, int(pairs[0]) + 1
+        value = float(acc[n - 1, m - 1])
+        return (value if live[n - 1, m - 1] else _INF), None
+
+    def max_bounded_many(
+        self,
+        stack: np.ndarray,
+        q_arr: np.ndarray,
+        eps: float,
+        window: Window | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One :meth:`max_bounded` call per lane of *stack*."""
+        k = stack.shape[0]
+        values = np.empty(k)
+        abandoned = np.full(k, -1, dtype=np.int64)
+        for lane in range(k):
+            value, diagonal = ReferenceKernel.max_bounded(
+                self, stack[lane], q_arr, eps, window
+            )
+            values[lane] = value
+            if diagonal is not None:
+                abandoned[lane] = diagonal
+        return values, abandoned
 
 
 register_kernel("reference", ReferenceKernel())

@@ -3,7 +3,7 @@
 A *kernel* is one implementation of the low-level DTW computations the
 public functions in :mod:`repro.distance.dtw` dispatch to: the additive
 two-row accumulation (Definition 1), the full-matrix fills (for warping
-path recovery), and the minimax reachability pass (Definition 2).
+path recovery), and the bounded minimax pass (Definition 2).
 
 Kernels are registered under a short name in :data:`KERNELS` and
 selected process-wide via :func:`set_kernel`, per-scope via
@@ -36,9 +36,19 @@ Kernel outcome conventions
 the raw accumulated corner value (squared costs for the ``L_2`` base)
 and *abandoned_rows* is the number of DP rows processed when the
 reference early-abandon condition fired, or ``None`` for a completed
-fill.  ``reachable`` returns ``(reachable, cells, abandon_depth)``
-mirroring the reference pass's charge: *cells* of grid work and, when
-the pass gave up before the last row, the fraction of rows completed.
+fill.  ``max_bounded`` returns ``(value, abandoned_diagonal)``: the
+exact Definition-2 value when it is ``<= eps`` (else ``inf``), and the
+anti-diagonal ``i + j = d`` on which the pass gave up — the second of
+two consecutive diagonals whose every cell exceeds ``eps`` (a single
+dead diagonal can still be crossed by a diagonal step) — or ``None``
+when the pass ran to the corner.  A cell counts as dead when its
+accumulated value is ``> eps``, inadmissible (outside the window) or
+``inf``.  ``max_bounded_many`` is the same over a ``(k, n)`` stack of
+equal-length candidates: ``(values, abandoned)`` arrays of ``k``, with
+``-1`` marking lanes that ran to the corner; lane ``i`` must equal
+``max_bounded(stack[i], ...)``.  The wrappers derive the ``dtw.cells``
+(admissible cells on diagonals ``0..d``) and ``dtw.abandon_depth``
+(``(d + 1) / (n + m - 1)``) charges from that diagonal.
 """
 
 from __future__ import annotations
@@ -129,10 +139,24 @@ class DtwKernel(Protocol):
         """The full max-recurrence accumulated matrix (Definition 2)."""
         ...
 
-    def reachable(
-        self, s_arr: np.ndarray, q_arr: np.ndarray, t: float
-    ) -> tuple[bool, int, float | None]:
-        """Minimax reachability: ``(reachable, cells charged, abandon depth)``."""
+    def max_bounded(
+        self,
+        s_arr: np.ndarray,
+        q_arr: np.ndarray,
+        eps: float,
+        window: "Window | None" = None,
+    ) -> tuple[float, int | None]:
+        """Bounded minimax pass: ``(value or inf, abandoned diagonal | None)``."""
+        ...
+
+    def max_bounded_many(
+        self,
+        stack: np.ndarray,
+        q_arr: np.ndarray,
+        eps: float,
+        window: "Window | None" = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`max_bounded` per row of a ``(k, n)`` *stack*, in one pass."""
         ...
 
 

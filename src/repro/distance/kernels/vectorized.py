@@ -20,11 +20,20 @@ cells of a diagonal form one contiguous run located by binary search, so
 a Sakoe–Chiba band of width ``w`` costs ``O((n + m) * w)`` element work
 instead of ``O((n + m) * min(n, m))``.  Arbitrary windows fall back to
 masking the full diagonal.
+
+The bounded Definition-2 pass (``max_bounded`` / ``max_bounded_many``)
+is the same wavefront over a ``(k, n)`` stack of equal-length
+candidates: one set of numpy operations per diagonal advances every
+lane, and lanes whose last two diagonals hold no cell within tolerance
+retire from the buffers.  It runs at every grid size — the per-diagonal
+work is shared by the whole stack, and even single 32 x 32 calls beat
+the reference's full matrix.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -38,8 +47,8 @@ _INF = math.inf
 
 #: Below this grid size the per-diagonal numpy dispatch overhead costs
 #: more than it saves and the reference per-cell loop wins (measured
-#: crossover ~1.6-2k cells); small fills delegate to the reference DP,
-#: which is bit-exact with itself by definition.
+#: crossover ~1.6-2k cells); small additive and matrix fills delegate to
+#: the reference DP, which is bit-exact with itself by definition.
 _WAVEFRONT_MIN_CELLS = 2048
 
 
@@ -82,7 +91,7 @@ class _Band:
 
 
 class VectorizedKernel(ReferenceKernel):
-    """Anti-diagonal numpy wavefront; inherits the reachability pass."""
+    """Anti-diagonal numpy wavefront fills and bounded passes."""
 
     name = "vectorized"
 
@@ -249,6 +258,99 @@ class VectorizedKernel(ReferenceKernel):
             return super().max_matrix(s_arr, q_arr, window=window)
         cost = np.abs(s_arr[:, None] - q_arr[None, :])
         return self._wavefront_matrix(cost, window, additive=False)
+
+    def max_bounded(
+        self,
+        s_arr: np.ndarray,
+        q_arr: np.ndarray,
+        eps: float,
+        window: Window | None = None,
+    ) -> tuple[float, int | None]:
+        values, abandoned = self.max_bounded_many(
+            s_arr[None, :], q_arr, eps, window
+        )
+        diagonal = int(abandoned[0])
+        return float(values[0]), (diagonal if diagonal >= 0 else None)
+
+    def max_bounded_many(
+        self,
+        stack: np.ndarray,
+        q_arr: np.ndarray,
+        eps: float,
+        window: Window | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The max-recurrence wavefront over all lanes of *stack* at once.
+
+        Cells keep their exact accumulated value — no thresholding is
+        needed, a cell is live iff that value is ``<= eps`` and finite —
+        and a lane retires, dropped from the buffers by mask, on the
+        second of two consecutive diagonals without a live cell.
+        """
+        k, n = stack.shape
+        m = q_arr.size
+        values = np.full(k, _INF)
+        abandoned = np.full(k, -1, dtype=np.int64)
+        # ``value <= limit`` is "<= eps and finite" in one comparison.
+        limit = min(eps, sys.float_info.max)
+        qr = q_arr[::-1]
+        band = _Band(window, n) if window is not None else None
+        lanes = np.arange(k)
+        # Diagonal buffers indexed by row + 1; column 0 is an inf
+        # sentinel standing in for the out-of-grid row -1.  Without a
+        # band every slot a diagonal reads was written by its
+        # predecessors or is still inf, so only banded fills reset it.
+        prev2 = np.full((k, n + 1), _INF)
+        prev1 = np.full((k, n + 1), _INF)
+        curr = np.full((k, n + 1), _INF)
+        # Per-lane minimum of the previous diagonal, and whether any lane
+        # was dead on it: a lane retires when both of its last two
+        # diagonal minima exceed limit.
+        prev_mins = np.full(k, -_INF)
+        any_was_dead = False
+        for d in range(n + m - 1):
+            i0 = d - m + 1 if d >= m else 0
+            i1 = d if d < n else n - 1
+            ia, ib = i0, i1
+            if band is not None:
+                curr.fill(_INF)
+                ia, ib, need_mask = band.clip(d, i0, i1)
+            if ia <= ib:
+                cell = curr[:, ia + 1 : ib + 2]
+                np.subtract(
+                    stack[:, ia : ib + 1], qr[m - 1 - d + ia : m - d + ib], out=cell
+                )
+                np.abs(cell, out=cell)
+                if d > 0:
+                    best = np.minimum(prev1[:, ia : ib + 1], prev1[:, ia + 1 : ib + 2])
+                    np.minimum(best, prev2[:, ia : ib + 1], out=best)
+                    np.maximum(cell, best, out=cell)
+                if band is not None and need_mask:
+                    cell[:, ~band.mask(d, ia, ib)] = _INF
+                mins = cell.min(axis=1)
+            else:
+                mins = np.full(lanes.size, _INF)
+            # A python max over the k minima is cheaper than a numpy
+            # reduction on the few lanes a verify stacks.
+            any_dead = max(mins.tolist()) > limit
+            if any_dead and any_was_dead:
+                retire = (mins > limit) & (prev_mins > limit)
+                if retire.any():
+                    abandoned[lanes[retire]] = d
+                    keep = ~retire
+                    lanes = lanes[keep]
+                    if lanes.size == 0:
+                        break
+                    stack, prev1, curr, prev2 = (
+                        stack[keep], prev1[keep], curr[keep], prev2[keep]
+                    )
+                    mins = mins[keep]
+                    any_dead = max(mins.tolist()) > limit
+            prev_mins, any_was_dead = mins, any_dead
+            prev2, prev1, curr = prev1, curr, prev2
+        else:
+            corner = prev1[:, n]
+            values[lanes] = np.where(corner <= limit, corner, _INF)
+        return values, abandoned
 
     def _wavefront_matrix(
         self, cost: np.ndarray, window: Window | None, *, additive: bool

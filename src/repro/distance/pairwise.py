@@ -17,7 +17,7 @@ import numpy as np
 from ..core.features import extract_feature
 from ..core.lower_bound import dtw_lb_features
 from ..exceptions import ValidationError
-from ..types import SequenceLike, as_array
+from ..types import SequenceLike, as_array, check_epsilon
 from .dtw import dtw_max, dtw_max_early_abandon
 
 __all__ = ["pairwise_dtw", "pairwise_dtw_within"]
@@ -56,8 +56,7 @@ def pairwise_dtw_within(
     itself early-abandons at the tolerance — the same two-stage filter
     Algorithm 1 uses, applied to the self-join's matrix form.
     """
-    if epsilon < 0:
-        raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+    check_epsilon(epsilon)
     arrays = _prepare(sequences)
     features = [extract_feature(arr) for arr in arrays]
     n = len(arrays)

@@ -11,9 +11,9 @@ feasibility for any data (sub)sequence spelled by the path — pruning a
 branch whose column is all-false is free of false dismissal, and
 surviving sequence ends are exactly ST-Filter's candidates.
 
-The column update is the same vectorized run-propagation sweep the DTW
-reachability test uses (one numpy pass per tree symbol), which is what
-makes the traversal affordable in pure Python.
+The column update is a vectorized run-propagation sweep (one numpy pass
+per tree symbol), which is what makes the traversal affordable in pure
+Python.
 
 Whole matching requires the path to spell a *complete* sequence: the
 traversal only emits a candidate when it reaches a terminator at depth
@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...exceptions import ValidationError
-from ...types import SequenceLike, as_array
+from ...types import SequenceLike, as_array, check_epsilon
 from ..rtree.stats import AccessStats
 from .categorize import Categorizer
 from .ukkonen import GeneralizedSuffixTree, SuffixTreeNode, terminator_sequence
@@ -107,8 +106,7 @@ class WarpingTraversal:
     # -- internals --------------------------------------------------------------
 
     def _check_query(self, query: SequenceLike, epsilon: float) -> np.ndarray:
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         return as_array(query)
 
     def _feasible_row(

@@ -30,7 +30,7 @@ from ..obs.metrics import (
 )
 from ..obs.tracing import maybe_span
 from ..storage.database import SequenceDatabase
-from ..types import Sequence, SequenceLike, as_sequence
+from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
 
 __all__ = ["MethodStats", "SearchReport", "SearchMethod"]
 
@@ -85,7 +85,7 @@ class SearchReport:
         ``{seq_id: D_tw}`` for every answer — populated only when the
         method was constructed with ``compute_distances=True``; the
         similarity-search problem itself only requires the ``<= eps``
-        decision, and exact-value refinement costs extra.
+        decision.
     candidates:
         Ids surviving the method's filtering step — what Figure 2 plots.
         For Naive-Scan this equals ``answers`` by the paper's convention.
@@ -183,8 +183,7 @@ class SearchMethod(abc.ABC):
         """Run one similarity search and account for its costs."""
         if not self._built:
             raise ValidationError(f"{self.name} must be built before searching")
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         q = as_sequence(query)
         if len(q) == 0:
             raise ValidationError("query sequence must be non-empty")

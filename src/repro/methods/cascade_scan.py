@@ -26,7 +26,7 @@ from typing import Iterable
 
 from ..core.cascade import DEFAULT_TIERS, FeatureStore, FilterCascade, scan_cascade
 from ..exceptions import ValidationError
-from ..types import Sequence, SequenceLike, as_sequence
+from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
 from .base import MethodStats, SearchMethod, SearchReport
 
 __all__ = ["CascadeScan"]
@@ -119,8 +119,7 @@ class CascadeScan(SearchMethod):
         """
         if not self._built:
             raise ValidationError(f"{self.name} must be built before searching")
-        if epsilon < 0:
-            raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+        check_epsilon(epsilon)
         query_seqs = [as_sequence(query) for query in queries]
         for q in query_seqs:
             if len(q) == 0:

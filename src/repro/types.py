@@ -19,13 +19,14 @@ Paper                     Library
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from .exceptions import EmptySequenceError, ValidationError
 
-__all__ = ["Sequence", "SequenceLike", "as_array", "as_sequence"]
+__all__ = ["Sequence", "SequenceLike", "as_array", "as_sequence", "check_epsilon"]
 
 #: Anything acceptable as sequence input to public API functions.
 SequenceLike = Union["Sequence", np.ndarray, Iterable[float]]
@@ -58,6 +59,18 @@ def as_array(values: SequenceLike, *, allow_empty: bool = True) -> np.ndarray:
     if not allow_empty and arr.size == 0:
         raise EmptySequenceError("operation requires a non-empty sequence")
     return arr
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject a NaN or negative tolerance at the API boundary.
+
+    ``+inf`` is legal: it is the tolerance of an unbounded (kNN or
+    exact-distance) verification.
+    """
+    if math.isnan(epsilon):
+        raise ValidationError("epsilon must not be NaN")
+    if epsilon < 0:
+        raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
 
 
 def as_sequence(values: SequenceLike, *, seq_id: int | None = None) -> "Sequence":

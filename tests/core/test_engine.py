@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from repro import TimeWarpingDatabase
+from repro.core.query_engine import QueryEngine
 from repro.distance.dtw import dtw_max
 from repro.exceptions import ValidationError
+from repro.storage.database import SequenceDatabase
 
 
 @pytest.fixture()
@@ -104,6 +106,24 @@ class TestSearch:
     def test_negative_epsilon_rejected(self, populated):
         with pytest.raises(ValidationError):
             populated.search([1.0], epsilon=-1.0)
+
+    def test_nan_epsilon_rejected_at_the_boundary(self, populated):
+        """NaN fails with a message naming epsilon, before any index
+        geometry ("rectangle bounds must not be NaN") sees it."""
+        nan = float("nan")
+        query = populated.get(5)
+        with pytest.raises(ValidationError, match="epsilon must not be NaN"):
+            populated.search(query, nan)
+        with pytest.raises(ValidationError, match="epsilon must not be NaN"):
+            populated.search_detailed(query, nan)
+        with pytest.raises(ValidationError, match="epsilon must not be NaN"):
+            populated.search_many([query], nan)
+        engine = QueryEngine(SequenceDatabase(page_size=512))
+        engine.insert(query)
+        with pytest.raises(ValidationError, match="epsilon must not be NaN"):
+            engine.search(query, nan)
+        with pytest.raises(ValidationError, match="epsilon must not be NaN"):
+            engine.search_many([query], nan)
 
     def test_zero_epsilon_finds_self(self, populated):
         target = populated.get(5)

@@ -252,48 +252,8 @@ class TestDispatch:
 
 
 class TestRefinementPaths:
-    """Direct coverage of the refinement internals the cascade only hits
-    indirectly: the large-input bisection fallback and the decision
-    procedure at exactly-threshold tolerance."""
-
-    def _force_bisect(self, monkeypatch: pytest.MonkeyPatch) -> None:
-        import repro.distance.dtw as dtw_module
-
-        # Any grid is now "too dense" to enumerate differences, so
-        # _refine must take the _refine_bisect fallback.
-        monkeypatch.setattr(dtw_module, "_DENSE_CELL_LIMIT", 0)
-
-    def test_bisect_fallback_matches_exact_refinement(
-        self, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        rng = np.random.default_rng(17)
-        pairs = [
-            (rng.uniform(0, 5, rng.integers(2, 12)),
-             rng.uniform(0, 5, rng.integers(2, 12)))
-            for _ in range(10)
-        ]
-        exact = [dtw_max(s, q) for s, q in pairs]
-        self._force_bisect(monkeypatch)
-        for (s, q), expected in zip(pairs, exact):
-            assert dtw_max(s, q) == pytest.approx(expected, rel=1e-9)
-
-    def test_bisect_fallback_in_early_abandon(
-        self, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        d = dtw_max(PAPER_S, [19, 20, 22])
-        self._force_bisect(monkeypatch)
-        refined = dtw_max_early_abandon(PAPER_S, [19, 20, 22], d + 0.1)
-        assert refined == pytest.approx(d, rel=1e-9)
-        assert dtw_max_early_abandon(PAPER_S, [19, 20, 22], d - 0.01) == math.inf
-
-    def test_bisect_converges_when_corners_dominate(
-        self, monkeypatch: pytest.MonkeyPatch
-    ) -> None:
-        """lower == upper == the answer: the loop must exit immediately."""
-        self._force_bisect(monkeypatch)
-        # The bottleneck is the first-corner pair, so the bisection's
-        # initial lower bound already equals the distance.
-        assert dtw_max([5.0, 1.0], [1.0, 1.0]) == pytest.approx(4.0)
+    """Direct coverage of the decision procedure at exactly-threshold
+    tolerance, the boundary the cascade's verification step relies on."""
 
     def test_within_at_exactly_threshold_is_true(self) -> None:
         """Admissibility is ``<= t``, so t == D_tw must answer True —

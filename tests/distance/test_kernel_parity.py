@@ -298,6 +298,205 @@ class TestMaxParity:
         )
 
 
+def _bounded(kernel: str, s: Any, q: Any, eps: float, window: Any = None) -> Any:
+    """The kernel primitive's raw outcome (value, abandon diagonal)."""
+    return get_kernel(kernel).max_bounded(
+        np.asarray(s, dtype=np.float64), np.asarray(q, dtype=np.float64), eps, window
+    )
+
+
+@pytest.mark.parametrize("kernel", CHALLENGERS)
+class TestBoundedParity:
+    """``max_bounded``: the one Definition-2 verify primitive."""
+
+    @given(
+        s=sequences,
+        q=sequences,
+        epsilon=st.one_of(
+            st.just(0.0), st.just(math.inf), st.floats(min_value=0, max_value=60)
+        ),
+    )
+    def test_primitive_bit_exact(
+        self, kernel: str, s: list, q: list, epsilon: float
+    ) -> None:
+        assert _bounded(kernel, s, q, epsilon) == _bounded(
+            "reference", s, q, epsilon
+        )
+        assert_kernel_parity(
+            kernel, lambda: dtw_max_early_abandon(s, q, epsilon)
+        )
+
+    @given(s=sequences, q=sequences, radius=radii, epsilon=thresholds)
+    def test_banded_bit_exact(
+        self, kernel: str, s: list, q: list, radius: int, epsilon: float | None
+    ) -> None:
+        window = sakoe_chiba_window(len(s), len(q), radius)
+        eps = math.inf if epsilon is None else epsilon
+        assert _bounded(kernel, s, q, eps, window) == _bounded(
+            "reference", s, q, eps, window
+        )
+        assert_kernel_parity(
+            kernel,
+            lambda: dtw_distance(s, q, window=window, threshold=epsilon),
+        )
+        with use_kernel(kernel):
+            banded = dtw_max_matrix(s, q, window=window).distance
+            expected = banded if banded <= eps else math.inf
+            assert dtw_max_early_abandon(s, q, eps, window=window) == expected
+
+    @given(s=sequences, q=sequences)
+    def test_epsilon_exactly_the_distance_keeps_it(
+        self, kernel: str, s: list, q: list
+    ) -> None:
+        exact = dtw_max_matrix(s, q).distance
+        assert_kernel_parity(
+            kernel, lambda: dtw_max_early_abandon(s, q, exact)
+        )
+        with use_kernel(kernel):
+            assert dtw_max_early_abandon(s, q, exact) == exact
+            below = math.nextafter(exact, -math.inf)
+            if below >= 0:
+                assert dtw_max_early_abandon(s, q, below) == math.inf
+
+    @given(value=elements, m=st.integers(1, 10), epsilon=thresholds)
+    def test_length_one_operands(
+        self, kernel: str, value: float, m: int, epsilon: float | None
+    ) -> None:
+        q = [value + 0.25 * j for j in range(m)]
+        eps = math.inf if epsilon is None else epsilon
+        assert_kernel_parity(kernel, lambda: dtw_max_early_abandon([value], q, eps))
+        assert_kernel_parity(kernel, lambda: dtw_max_early_abandon(q, [value], eps))
+        assert _bounded(kernel, [value], q, eps) == _bounded(
+            "reference", [value], q, eps
+        )
+
+    def test_corner_fast_path(self, kernel: str) -> None:
+        """A far corner beyond eps rejects in O(1): 2 cells, depth 0."""
+        s, q = [0.0, 1.0, 9.0], [0.0, 1.0, 1.0]
+        assert_kernel_parity(kernel, lambda: dtw_max_early_abandon(s, q, 1.0))
+        _, counters, histograms = _observed(
+            kernel, lambda: dtw_max_early_abandon(s, q, 1.0)
+        )
+        assert counters == {"dtw.cells": 2, "dtw.early_abandons": 1}
+        assert histograms["dtw.abandon_depth"][1] == 0.0  # min
+
+    def test_diagonal_step_crosses_one_dead_diagonal(self, kernel: str) -> None:
+        """Anti-diagonal 1 — cells (0, 1) and (1, 0) — is entirely above
+        eps, yet the diagonal step (0, 0) -> (1, 1) skips it: one dead
+        diagonal must not abandon."""
+        s, q = [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]
+        assert _bounded(kernel, s, q, 0.5) == (0.0, None)
+        assert_kernel_parity(kernel, lambda: dtw_max_early_abandon(s, q, 0.5))
+        _, counters, _ = _observed(
+            kernel, lambda: dtw_max_early_abandon(s, q, 0.5)
+        )
+        assert counters == {"dtw.cells": 9}
+
+    def test_two_dead_diagonals_abandon(self, kernel: str) -> None:
+        """Only (0, 0) is within eps, so diagonals 1 and 2 are both dead:
+        the pass stops on diagonal 2 and charges its 1 + 2 + 3 cells."""
+        s = [0.0, 9.0, 9.0, 9.0, 0.0]
+        q = [0.0, -9.0, -9.0, -9.0, 0.0]
+        assert _bounded(kernel, s, q, 1.0) == (math.inf, 2)
+        _, counters, histograms = _observed(
+            kernel, lambda: dtw_max_early_abandon(s, q, 1.0)
+        )
+        assert counters == {"dtw.cells": 6, "dtw.early_abandons": 1}
+        assert histograms["dtw.abandon_depth"][1] == 3 / 9  # min
+
+    @given(
+        q=sequences,
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        epsilon=st.one_of(st.just(math.inf), st.floats(min_value=0, max_value=8)),
+        radius=st.one_of(st.none(), radii),
+    )
+    def test_stack_equals_single_calls(
+        self,
+        kernel: str,
+        q: list,
+        k: int,
+        seed: int,
+        epsilon: float,
+        radius: int | None,
+    ) -> None:
+        """Lanes retiring on different diagonals: the stacked pass
+        returns and charges exactly what k single calls would."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 12))
+        stack = rng.normal(scale=3.0, size=(k, n)).cumsum(axis=1)
+        window = None if radius is None else sakoe_chiba_window(n, len(q), radius)
+
+        def singles() -> np.ndarray:
+            return np.array(
+                [
+                    dtw_max_early_abandon(row, q, epsilon, window=window)
+                    for row in stack
+                ]
+            )
+
+        expected = _observed("reference", singles)
+        for name in ("reference", kernel):
+            assert _observed(
+                name,
+                lambda: dtw_max_early_abandon(
+                    stack, q, epsilon, window=window, stacked=True
+                ),
+            ) == expected
+        q_arr = np.asarray(q, dtype=np.float64)
+        values, abandoned = get_kernel(kernel).max_bounded_many(
+            stack, q_arr, epsilon, window
+        )
+        for lane in range(k):
+            value, diagonal = _bounded("reference", stack[lane], q, epsilon, window)
+            assert values[lane] == value
+            assert abandoned[lane] == (-1 if diagonal is None else diagonal)
+
+    def test_stack_lanes_retire_on_different_diagonals(self, kernel: str) -> None:
+        q = [0.0, -9.0, -9.0, -9.0, -9.0, 0.0]
+        stack = np.array(
+            [
+                [0.0, 9.0, 9.0, 9.0, 9.0, 0.0],  # only (0, 0) is live
+                [0.0, -9.0, 9.0, 9.0, 9.0, 0.0],  # row 1 live up to (1, 4)
+                q,  # the query itself: distance 0
+            ]
+        )
+        values, abandoned = get_kernel(kernel).max_bounded_many(
+            stack, np.asarray(q), 1.0
+        )
+        assert values.tolist() == [math.inf, math.inf, 0.0]
+        assert abandoned.tolist() == [2, 7, -1]
+        assert_kernel_parity(
+            kernel,
+            lambda: dtw_max_early_abandon(stack, q, 1.0, stacked=True),
+        )
+
+    @given(s=sequences, q=sequences)
+    def test_dtw_max_is_the_matrix_corner_exactly(
+        self, kernel: str, s: list, q: list
+    ) -> None:
+        with use_kernel(kernel):
+            assert dtw_max(s, q) == dtw_max_matrix(s, q).distance
+
+    def test_dtw_max_exact_above_the_old_dense_cell_limit(
+        self, kernel: str
+    ) -> None:
+        """A 2001 x 2001 grid (> 4M cells) is exact too, not approximate."""
+        rng = np.random.default_rng(5)
+        s = rng.normal(size=2001).cumsum()
+        q = rng.normal(size=2001).cumsum()
+        with use_kernel(kernel):
+            assert dtw_max(s, q) == dtw_max_matrix(s, q).distance
+
+    def test_nan_epsilon_rejected_with_its_name(self, kernel: str) -> None:
+        with use_kernel(kernel):
+            with pytest.raises(ValidationError, match="epsilon must not be NaN"):
+                dtw_max_early_abandon([1.0], [1.0], float("nan"))
+            with pytest.raises(ValidationError, match="epsilon"):
+                dtw_max_within([1.0], [1.0], float("nan"))
+            assert dtw_max_early_abandon([1.0], [2.0], math.inf) == 1.0
+
+
 @pytest.mark.parametrize("kernel", CHALLENGERS)
 class TestEdgeCaseParity:
     @given(s=short_sequences, q=short_sequences)
@@ -457,5 +656,7 @@ class TestKernelSelectionApi:
             s, q, power=1.0, window=None, cutoff=None
         )
         assert abandoned is None and total >= 0.0
-        ok, cells, depth = kernel.reachable(s, q, 10.0)
-        assert ok and cells == 6 and depth is None
+        value, abandoned = kernel.max_bounded(s, q, 10.0)
+        assert value == 0.5 and abandoned is None
+        values, lanes_abandoned = kernel.max_bounded_many(s[None, :], q, 10.0)
+        assert values.tolist() == [0.5] and lanes_abandoned.tolist() == [-1]
