@@ -497,10 +497,38 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _parse_query(text: str) -> np.ndarray:
+    """The ``--query`` values: comma-separated, or ``@FILE`` (whitespace).
+
+    A token that is not a number raises a :class:`ValidationError`
+    naming it (and, for ``@FILE``, its line), so the CLI reports one
+    error line instead of a traceback.
+    """
     if text.startswith("@"):
-        lines = Path(text[1:]).read_text().split()
-        return np.array([float(v) for v in lines])
-    return np.array([float(v) for v in text.split(",") if v.strip()])
+        path = Path(text[1:])
+        try:
+            lines = path.read_text().splitlines()
+        except OSError as error:
+            raise ValidationError(
+                f"cannot read query file {path}: {error}"
+            ) from error
+        tokens = [
+            (token, f"{path}:{number}")
+            for number, line in enumerate(lines, start=1)
+            for token in line.split()
+        ]
+    else:
+        tokens = [
+            (token.strip(), "--query") for token in text.split(",") if token.strip()
+        ]
+    values: list[float] = []
+    for token, where in tokens:
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise ValidationError(
+                f"query value {token!r} ({where}) is not a number"
+            ) from None
+    return np.array(values)
 
 
 def _querylog_writer(args: argparse.Namespace) -> QueryLogWriter | None:

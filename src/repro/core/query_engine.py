@@ -155,11 +155,12 @@ class QueryEngine:
     backend_options:
         Extra constructor options when *backend* is a name.
     cascade_factory:
-        How to (re)build the filter cascade when the store goes stale.
-        Defaults to :meth:`FilterCascade.from_database` (one charged
-        sequential scan); the process executor's workers inject a
-        factory that charges the same scan but adopts the published
-        shared-memory store, so counters stay bit-identical.
+        How to build the filter cascade on the first read (and whenever
+        the store cannot be refreshed from the write delta).  Defaults
+        to :meth:`FilterCascade.from_database` (one charged sequential
+        scan); the process executor's workers inject a factory that
+        charges the same scan but adopts the published shared-memory
+        store, so counters stay bit-identical.
     """
 
     def __init__(
@@ -188,7 +189,7 @@ class QueryEngine:
             if cascade_factory is not None
             else FilterCascade.from_database
         )
-        self._cascade: FilterCascade | None = None
+        self._cascade: tuple[tuple[int, int], FilterCascade] | None = None
         self._cascade_lock = threading.Lock()
         self._metrics = MetricsRegistry()
         # Thread-local so concurrent queries never see each other's
@@ -307,21 +308,46 @@ class QueryEngine:
 
     # -- queries ----------------------------------------------------------------
 
-    def _active_cascade(self) -> FilterCascade:
-        """The filter cascade over the current contents (lazily rebuilt).
+    def _contents_key(self) -> tuple[int, int]:
+        """``(len(db), db.next_id)``: changes on every insert and delete.
 
-        Ids are never reused and stored sequences are immutable, so the
-        store stays valid until an insert/delete changes the id set —
-        then one sequential scan rebuilds it.
+        Ids are monotone and never reused, so no write sequence returns
+        the database to an earlier key; a compact leaves ids and
+        contents — and the key — unchanged.  ``next_id`` is read first:
+        a write racing this read then yields a key no later state has,
+        forcing one more refresh rather than a stale hit.
         """
-        cascade = self._cascade
-        if cascade is None or not cascade.store.matches(self._db):
+        next_id = self._db.next_id
+        return len(self._db), next_id
+
+    def _active_cascade(self) -> FilterCascade:
+        """The filter cascade over the current contents, kept incrementally.
+
+        The first read builds it with :attr:`_cascade_factory` (one
+        charged sequential scan by default).  A read after writes
+        refreshes it from the write delta — one charged random fetch
+        per added row, no scan — and falls back to the factory only
+        when the store cannot be refreshed.  Key and cascade live in
+        one tuple, swapped under the lock, so the lock-free fast path
+        never pairs a new key with an old cascade.
+        """
+        key = self._contents_key()
+        current = self._cascade
+        if current is None or current[0] != key:
             with self._cascade_lock:
-                cascade = self._cascade
-                if cascade is None or not cascade.store.matches(self._db):
-                    cascade = self._cascade_factory(self._db)
-                    self._cascade = cascade
-        return cascade
+                key = self._contents_key()
+                current = self._cascade
+                if current is None or current[0] != key:
+                    cascade = (
+                        current[1].refreshed(self._db)
+                        if current is not None
+                        else None
+                    )
+                    if cascade is None:
+                        cascade = self._cascade_factory(self._db)
+                    current = (key, cascade)
+                    self._cascade = current
+        return current[1]
 
     def search(
         self,
@@ -412,7 +438,7 @@ class QueryEngine:
                                     SearchOutcome(
                                         int(ids[row]),
                                         distance,
-                                        cascade.store.sequences[int(row)],
+                                        cascade.store.sequence(int(row)),
                                     )
                                 )
                 stages.append(
@@ -499,7 +525,7 @@ class QueryEngine:
                         SearchOutcome(
                             seq_id,
                             outcome.distances[seq_id],
-                            cascade.store.sequences[int(row)],
+                            cascade.store.sequence(int(row)),
                         )
                         for seq_id, row in zip(outcome.answer_ids, rows)
                     ]

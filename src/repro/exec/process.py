@@ -21,13 +21,15 @@ Protocol (one duplex pipe per worker, strictly FIFO, parent drives):
 ``("close",)``
     Acknowledge and exit the worker loop.
 
-Bit-exactness: the worker builds its cascade through a factory that
-charges the same ``db.scan()`` the in-process engines charge, then
+Bit-exactness: the worker builds its first cascade through a factory
+that charges the same ``db.scan()`` the in-process engines charge, then
 adopts the shared store when it still mirrors the replica database
-(after mirrored mutations it falls back to a locally rebuilt store,
-exactly like the in-process lazy rebuild).  Query charges travel back
-on the pickled ``QueryResult``/``BatchResult`` snapshots and merge in
-shard order, so counters are bit-identical to the serial executor.
+(otherwise it builds one from that scan).  After mirrored mutations the
+worker's engine refreshes its store from the write delta — one charged
+fetch per added row — exactly like the in-process engines.  Query
+charges travel back on the pickled ``QueryResult``/``BatchResult``
+snapshots and merge in shard order, so counters are bit-identical to
+the serial executor.
 
 One caveat is inherent to replication: parent-side reads *outside* the
 executor (``ShardedDatabase.get``) touch only the parent's buffer
@@ -88,25 +90,28 @@ def _shared_cascade_factory(
     """A cascade factory that adopts the shared store when still valid.
 
     Charges one ``db.scan()`` exactly like
-    :meth:`FilterCascade.from_database`, so the first query's counters
-    match the in-process executors bit-for-bit.  The attachment —
+    :meth:`FilterCascade.from_database` (which it falls back to when
+    the replica has mutated since the publication), so the first
+    query's counters match the in-process executors bit-for-bit.
+    Later reads refresh the cascade from the mirrored write delta
+    inside the engine, as in-process engines do.  The attachment —
     shared-memory segment or read-only file map, depending on the
     handle — happens once and is cached (a ``SharedMemory`` object, if
     any, must outlive the store views).
     """
-    from ..core.cascade import FeatureStore, FilterCascade
+    from ..core.cascade import FilterCascade
 
     cache: dict[str, Any] = {}
 
     def factory(db: "SequenceDatabase") -> FilterCascade:
-        scan = db.scan()  # the charged build pass, shared-store or not
         if handle is not None:
             if "store" not in cache:
                 cache["segment"], cache["store"] = attach_store(handle)
             store = cache["store"]
             if store.matches(db):
+                db.scan()  # the charged build pass
                 return FilterCascade(store)
-        return FilterCascade(FeatureStore(scan))
+        return FilterCascade.from_database(db)
 
     return factory
 
@@ -197,10 +202,11 @@ class ProcessExecutor(ShardExecutor):
     Workers are spawned lazily on the first fan-out, pickling each
     shard's storage + backend as they are *at that moment*; later
     mutations are kept in lockstep via :meth:`mirror`.  The published
-    shared store reflects spawn-time contents — after mutations the
-    workers transparently rebuild local stores (the same lazy rebuild
-    the in-process engines perform), trading the zero-copy read for
-    unchanged answers and counters.
+    shared store reflects spawn-time contents — after mutations each
+    worker refreshes its store from the mirrored write delta (the same
+    incremental refresh the in-process engines perform) into local
+    memory, trading the zero-copy read for unchanged answers and
+    counters.
     """
 
     name = "process"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
-from ..core.cascade import DEFAULT_TIERS, FeatureStore, FilterCascade, scan_cascade
+from ..core.cascade import DEFAULT_TIERS, FilterCascade, scan_cascade
 from ..exceptions import ValidationError
 from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
 from .base import MethodStats, SearchMethod, SearchReport
@@ -71,8 +71,8 @@ class CascadeScan(SearchMethod):
 
     def _build_impl(self) -> None:
         """Precompute the feature store with one sequential scan."""
-        self._cascade = FilterCascade(
-            FeatureStore(self._db.scan()), tiers=DEFAULT_TIERS
+        self._cascade = FilterCascade.from_database(
+            self._db, tiers=DEFAULT_TIERS
         )
 
     def _scan_cascade(self) -> FilterCascade:
@@ -91,7 +91,7 @@ class CascadeScan(SearchMethod):
         stats.lower_bound_computations += len(store)
 
         def verifier(row: int) -> float:
-            return self._verify(store.sequences[row], query, epsilon, stats)
+            return self._verify(store.sequence(row), query, epsilon, stats)
 
         outcome = cascade.run(
             query.values,

@@ -178,8 +178,11 @@ class SequenceDatabase:
         if len(seq) == 0:
             raise ValidationError("cannot store an empty sequence")
         seq_id = self._next_id
-        self._next_id += 1
         self._store.append(seq_id, seq.values)
+        # Bumped only once the record is stored: a reader taking
+        # ``(len(db), next_id)`` as a contents key (next_id read first)
+        # then never pairs the new id with the old contents.
+        self._next_id = seq_id + 1
         return seq_id
 
     def insert_many(self, sequences: Iterable[SequenceLike]) -> list[int]:
@@ -275,6 +278,14 @@ class SequenceDatabase:
         parity between executors.
         """
         return self._store.scan()
+
+    def peek(self, seq_id: int) -> Sequence:
+        """:meth:`fetch` without charging any I/O.
+
+        The per-id form of :meth:`contents`, for callers whose read was
+        already paid for (e.g. by a sequential :meth:`scan`).
+        """
+        return self._store.read(seq_id)
 
     def dense_arrays(
         self,

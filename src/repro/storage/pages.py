@@ -34,7 +34,13 @@ from .store import SequenceStore, register_store
 __all__ = ["HeapSequenceStore", "SequenceHeapFile"]
 
 _HEADER = struct.Struct("<QI")  # sequence id, element count
-_MAGIC = b"RPRS\x01"
+#: File magic; the byte after it is the format version.
+_MAGIC = b"RPRS"
+#: Version 1 wrote the whole buffer, tombstones included; version 2
+#: writes live records only plus the logical end (see :meth:`save`).
+_V1, _V2 = b"\x01", b"\x02"
+_V2_HEADER = struct.Struct("<IQI")  # page size, logical end, record count
+_DIR_ENTRY = struct.Struct("<QQQ")  # sequence id, offset, length
 
 
 @register_store
@@ -173,25 +179,42 @@ class HeapSequenceStore(SequenceStore):
     # -- persistence ------------------------------------------------------------------
 
     def save(self, path: str | Path) -> None:
-        """Write the heap file (with directory) to a real file."""
-        path = Path(path)
-        directory = struct.pack("<I", len(self._order))
-        for seq_id in self._order:
-            offset, length = self._offsets[seq_id]
-            directory += struct.pack("<QQQ", seq_id, offset, length)
-        with open(path, "wb") as f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<I", self._page_size))
-            f.write(directory)
-            f.write(bytes(self._buf))
+        """Write the live records, with their directory, to a real file.
+
+        Tombstoned bytes are not written: each live record is streamed
+        from a view of the buffer, with no whole-buffer copy.  The
+        directory keeps every record's *logical* ``(id, offset,
+        length)`` triple and the header the logical end, so
+        :meth:`load` restores the exact page geometry (tombstoned space
+        persists until :meth:`compact`, as in the ``mmap`` store).
+
+        Layout: magic ``RPRS``, version ``\\x02``, ``u32`` page size,
+        ``u64`` logical end, ``u32`` record count, one ``u64`` triple
+        per record, then the live records back to back in directory
+        order.
+        """
+        with open(Path(path), "wb") as f, memoryview(self._buf) as view:
+            f.write(_MAGIC + _V2)
+            f.write(
+                _V2_HEADER.pack(self._page_size, len(self._buf), len(self._order))
+            )
+            for seq_id in self._order:
+                offset, length = self._offsets[seq_id]
+                f.write(_DIR_ENTRY.pack(seq_id, offset, length))
+            for seq_id in self._order:
+                offset, length = self._offsets[seq_id]
+                f.write(view[offset : offset + length])
 
     @classmethod
     def load(cls, path: str | Path) -> "HeapSequenceStore":
-        """Re-open a heap file written by :meth:`save`.
+        """Re-open a heap file written by :meth:`save` (either version).
 
-        Corrupt or truncated files raise
-        :class:`~repro.exceptions.StorageError` with the path in the
-        message; low-level ``struct.error``/``OSError`` never escape.
+        Version-2 files hold live records only; they are re-inflated
+        at their logical offsets, with zeroed tombstone holes, so page
+        spans and total pages equal those before the save.  Corrupt or
+        truncated files raise :class:`~repro.exceptions.StorageError`
+        with the path in the message; low-level
+        ``struct.error``/``OSError`` never escape.
         """
         path = Path(path)
         try:
@@ -201,34 +224,55 @@ class HeapSequenceStore(SequenceStore):
             raise StorageError(
                 f"cannot read heap store {path}: {error}"
             ) from error
-        if data[: len(_MAGIC)] != _MAGIC:
+        version = data[len(_MAGIC) : len(_MAGIC) + 1]
+        if data[: len(_MAGIC)] != _MAGIC or version not in (_V1, _V2):
             raise StorageError(f"{path} is not a repro heap file")
         try:
-            pos = len(_MAGIC)
-            (page_size,) = struct.unpack_from("<I", data, pos)
-            pos += 4
-            (count,) = struct.unpack_from("<I", data, pos)
-            pos += 4
+            pos = len(_MAGIC) + 1
+            if version == _V1:
+                page_size, count = struct.unpack_from("<II", data, pos)
+                pos += 8
+                end = None
+            else:
+                page_size, end, count = _V2_HEADER.unpack_from(data, pos)
+                pos += _V2_HEADER.size
             heap = cls(page_size=page_size)
             entries = []
             for _ in range(count):
-                seq_id, offset, length = struct.unpack_from("<QQQ", data, pos)
-                pos += 24
-                entries.append((seq_id, offset, length))
-            heap._buf = bytearray(data[pos:])
-            for seq_id, offset, length in entries:
-                if offset + length > len(heap._buf):
-                    raise StorageError(
-                        f"heap store {path} is truncated: record {seq_id} "
-                        f"ends at byte {offset + length} of a "
-                        f"{len(heap._buf)}-byte data section"
-                    )
-                heap._offsets[seq_id] = (offset, length)
-                heap._order.append(seq_id)
+                entries.append(_DIR_ENTRY.unpack_from(data, pos))
+                pos += _DIR_ENTRY.size
         except struct.error as error:
             raise StorageError(
                 f"heap store {path} is truncated or corrupt: {error}"
             ) from error
+        if end is None:
+            heap._buf = bytearray(data[pos:])
+        else:
+            try:
+                heap._buf = bytearray(end)
+            except (MemoryError, OverflowError) as error:
+                raise StorageError(
+                    f"heap store {path} is corrupt: logical end {end} "
+                    f"cannot be allocated"
+                ) from error
+            with memoryview(data) as source:
+                for seq_id, offset, length in entries:
+                    if pos + length > len(data) or offset + length > end:
+                        raise StorageError(
+                            f"heap store {path} is truncated: record "
+                            f"{seq_id} does not fit its data section"
+                        )
+                    heap._buf[offset : offset + length] = source[pos : pos + length]
+                    pos += length
+        for seq_id, offset, length in entries:
+            if offset + length > len(heap._buf):
+                raise StorageError(
+                    f"heap store {path} is truncated: record {seq_id} "
+                    f"ends at byte {offset + length} of a "
+                    f"{len(heap._buf)}-byte data section"
+                )
+            heap._offsets[seq_id] = (offset, length)
+            heap._order.append(seq_id)
         return heap
 
 

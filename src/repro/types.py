@@ -127,13 +127,28 @@ class Sequence:
         """Optional human-readable name."""
         return self._label
 
+    @classmethod
+    def trusted(
+        cls,
+        values: np.ndarray,
+        *,
+        seq_id: int | None = None,
+        label: str | None = None,
+    ) -> "Sequence":
+        """Wrap an already-validated read-only float64 array, zero-copy.
+
+        Skips :func:`as_array`'s checks: for storage layers handing out
+        views of values that were validated when they were inserted.
+        """
+        seq = cls.__new__(cls)
+        seq._values = values
+        seq._seq_id = seq_id
+        seq._label = label
+        return seq
+
     def with_id(self, seq_id: int) -> "Sequence":
         """Return a copy of this sequence carrying *seq_id*."""
-        clone = Sequence.__new__(Sequence)
-        clone._values = self._values
-        clone._seq_id = seq_id
-        clone._label = self._label
-        return clone
+        return Sequence.trusted(self._values, seq_id=seq_id, label=self._label)
 
     # -- paper accessors ----------------------------------------------
 

@@ -123,6 +123,40 @@ class TestQuery:
         assert rc == 0
         assert "seq 0" in capsys.readouterr().out
 
+    def test_bad_query_token_is_one_error_line(self, database_file, capsys):
+        rc = main(
+            ["query", "--db", str(database_file), "--query", "1,abc",
+             "--epsilon", "1.0"]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.strip().splitlines() == [
+            "error: query value 'abc' (--query) is not a number"
+        ]
+        assert "Traceback" not in captured.err
+
+    def test_bad_line_in_query_file_names_it(
+        self, database_file, tmp_path, capsys
+    ):
+        qfile = tmp_path / "q.txt"
+        qfile.write_text("1.0 2.0\n3.0 4,5\n")
+        rc = main(
+            ["query", "--db", str(database_file), "--query", f"@{qfile}",
+             "--epsilon", "1.0"]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"'4,5' ({qfile}:2)" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_query_file_is_an_error(self, database_file, tmp_path, capsys):
+        rc = main(
+            ["query", "--db", str(database_file), "--query",
+             f"@{tmp_path / 'absent.txt'}", "--epsilon", "1.0"]
+        )
+        assert rc == 1
+        assert "cannot read query file" in capsys.readouterr().err
+
     def test_epsilon_and_knn_mutually_exclusive(self, database_file):
         with pytest.raises(SystemExit):
             main(
