@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.subsequence import SubsequenceIndex
 from repro.data.synthetic import random_walk_dataset
-from repro.distance.dtw import dtw_max_within
+from repro.distance.dtw import dtw_max_early_abandon
 from repro.eval.experiments import ExperimentResult, full_scale
 
 from ._shared import run_bench
@@ -53,7 +53,10 @@ def _run() -> ExperimentResult:
         for seq in sequences:
             values = np.asarray(seq.values)
             for s in range(0, len(values) - window + 1):
-                if dtw_max_within(values[s : s + window], q, epsilon):
+                distance = dtw_max_early_abandon(
+                    values[s : s + window], q, epsilon
+                )
+                if distance <= epsilon:
                     brute_hits += 1
     brute_time = (time.process_time() - start_t) / len(queries)
 

@@ -576,13 +576,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
         )
         if args.epsilon is not None:
-            if args.explain:
-                result = facade.search_detailed(query, args.epsilon)
-                matches = result.matches
-                candidates = len(result.candidate_ids)
-            else:
-                matches = facade.search(query, args.epsilon)
-                candidates = len(facade.last_candidate_ids)
+            result = facade.search_detailed(query, args.epsilon)
+            matches = result.matches
+            candidates = len(result.candidate_ids)
             print(
                 f"{len(matches)} match(es) within eps={args.epsilon} "
                 f"({candidates} candidate(s) examined)"

@@ -18,7 +18,10 @@ per-sequence Python loops:
    this tier is sound (and therefore active) only for band-constrained
    searches; sequences whose length differs from the query's pass
    through unfiltered (the classical bound requires equal lengths).
-4. ``dtw`` — early-abandoning exact verification of the survivors.
+4. ``dtw`` — exact verification of the survivors: one bounded pass
+   per equal-length stack of them (:meth:`FeatureStore.length_stacks`,
+   ``dtw_max_early_abandon(..., stacked=True)``), the same verify the
+   engine's index path runs, so every answer carries its exact distance.
 
 Every tier admits a superset of the exact answer set (no false
 dismissal); tier comparisons are made inclusive by the same float-safety
@@ -27,7 +30,7 @@ filter_margin`), so the guarantee survives floating point at the
 knife edge ``lb == eps``.
 
 :class:`FeatureStore` holds the precomputed per-sequence state (feature
-matrix, raw values, equal-length value matrices); :class:`FilterCascade`
+matrix, raw values, equal-length value stacks); :class:`FilterCascade`
 runs queries through the tiers and reports per-stage pruning counters as
 a :class:`CascadeStats`.  :meth:`FilterCascade.run_many` answers a batch
 of queries at once, amortizing feature extraction and evaluating the
@@ -39,12 +42,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence as TypingSequence
+from typing import Callable, Iterable, Iterator, Sequence as TypingSequence
 
 import numpy as np
 
-from ..distance.bands import sakoe_chiba_window
-from ..distance.dtw import dtw_max_early_abandon, dtw_max_within
+from ..distance.bands import Window, sakoe_chiba_window
+from ..distance.dtw import dtw_max_early_abandon
 from ..distance.lb_keogh import lb_keogh_batch, warping_envelope
 from ..exceptions import ValidationError
 from ..obs.metrics import active_registry, timed
@@ -241,8 +244,8 @@ class FeatureStore:
     the whole store is five flat buffers, it can be re-hosted on any
     backing memory (notably a :mod:`multiprocessing.shared_memory`
     segment, via :meth:`packed` / :meth:`from_packed`) without touching
-    the cascade kernels.  Per-length ``(k, L)`` value matrices for the
-    envelope tier are still materialized lazily.
+    the cascade kernels.  :meth:`length_stacks` gathers the ``(k, L)``
+    value stacks a stacked verify reads, per call.
 
     A store is immutable once built: :meth:`refreshed` applies a
     database's write delta into a *new* store, so readers holding the
@@ -261,7 +264,6 @@ class FeatureStore:
         "_labels",
         "_sequences",
         "_row_of",
-        "_groups",
         "_cache_lock",
     )
 
@@ -317,7 +319,6 @@ class FeatureStore:
         self._labels = labels
         self._sequences: list[Sequence] | None = None
         self._row_of: dict[int, int] | None = None
-        self._groups: dict[int, np.ndarray] | None = None
         # Shard thread pools share one store; the lazy caches build
         # under this lock so concurrent queries never double-build.
         self._cache_lock = threading.Lock()
@@ -552,30 +553,29 @@ class FeatureStore:
         rows = [row_of[sid] for sid in seq_ids if sid in row_of]
         return np.asarray(rows, dtype=np.int64)
 
-    def groups_by_length(self) -> dict[int, np.ndarray]:
-        """``{length: row indices}`` for every distinct sequence length."""
-        result = self._groups
-        if result is None:
-            with self._cache_lock:
-                result = self._groups
-                if result is None:
-                    groups: dict[int, list[int]] = {}
-                    for row, length in enumerate(self.lengths):
-                        groups.setdefault(int(length), []).append(row)
-                    result = {
-                        length: np.asarray(rows, dtype=np.int64)
-                        for length, rows in groups.items()
-                    }
-                    self._groups = result
-        return result
+    def length_stacks(
+        self,
+        rows: np.ndarray,
+        query_length: int,
+        band_radius: int | None = None,
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, Window | None]]:
+        """Split *rows* into equal-length stacks for a stacked verify.
 
-    def value_matrix(self, length: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(rows, matrix)`` of all sequences with exactly *length* elements."""
-        rows = self.groups_by_length().get(length)
-        if rows is None or rows.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty((0, length))
-        matrix = np.stack([self.values(int(r)) for r in rows])
-        return rows, matrix
+        Yields ``(group, values, window)`` per distinct length, in order
+        of first appearance in *rows*: the group's rows in *rows* order,
+        their ``(k, length)`` value matrix, and the Sakoe–Chiba window
+        of a ``length x query_length`` fill at *band_radius* (``None``
+        when unbanded).
+        """
+        lengths = self.lengths[rows]
+        for length in dict.fromkeys(lengths.tolist()):
+            group = rows[lengths == length]
+            window = (
+                None
+                if band_radius is None
+                else sakoe_chiba_window(length, query_length, band_radius)
+            )
+            yield group, np.stack([self.values(int(r)) for r in group]), window
 
     def values(self, row: int) -> np.ndarray:
         """Raw element array of the sequence at *row* (a read-only view)."""
@@ -592,8 +592,7 @@ class CascadeOutcome:
     ``candidate_ids`` are the survivors of the last lower-bound tier
     (the Figure-2 candidate set); ``answer_ids`` the sequences whose
     exact distance verified within tolerance.  ``distances`` maps answer
-    id to its distance — exact when the cascade ran with
-    ``compute_distances=True``, else a decision-only placeholder.
+    id to its exact distance.
     """
 
     answer_ids: list[int]
@@ -609,11 +608,12 @@ def verify_stage(
 ) -> tuple[list[int], dict[int, float], StageStats]:
     """The cascade's final tier: exact verification of *candidates*.
 
-    *verifier* maps a candidate (a store row or a sequence id, the
-    caller's choice) to its verified distance — ``inf`` when it exceeds
-    tolerance.  Shared by the scan methods, the index methods'
-    post-processing, and the public facade so every path reports the
-    same :class:`StageStats` shape.
+    *verifier* maps a candidate sequence id to its verified distance —
+    ``inf`` when it exceeds tolerance.  The index methods'
+    post-processing fetches and verifies one candidate at a time
+    through it; the cascade verifies its store rows in stacks
+    (:meth:`FilterCascade.run`).  Both charge the same ``dtw``
+    :class:`StageStats` and ``dtw.verifications`` counter.
     """
     answers: list[int] = []
     distances: dict[int, float] = {}
@@ -755,34 +755,6 @@ class FilterCascade:
         keep.sort()
         return keep
 
-    # -- verification --------------------------------------------------------
-
-    def _row_verifier(
-        self,
-        query_arr: np.ndarray,
-        epsilon: float,
-        band_radius: int | None,
-        compute_distances: bool,
-    ) -> Callable[[int], float]:
-        """Default verifier: exact DTW on store values, early-abandoning."""
-
-        def verify(row: int) -> float:
-            values = self._store.values(int(row))
-            window = (
-                None
-                if band_radius is None
-                else sakoe_chiba_window(values.size, query_arr.size, band_radius)
-            )
-            if compute_distances or window is not None:
-                return dtw_max_early_abandon(
-                    values, query_arr, epsilon, window=window
-                )
-            if dtw_max_within(values, query_arr, epsilon):
-                return epsilon
-            return float("inf")
-
-        return verify
-
     # -- single query --------------------------------------------------------
 
     def run(
@@ -792,27 +764,14 @@ class FilterCascade:
         *,
         rows: np.ndarray | None = None,
         band_radius: int | None = None,
-        compute_distances: bool = True,
-        verifier: Callable[[int], float] | None = None,
     ) -> CascadeOutcome:
-        """Filter then verify one query; returns ids, distances and stats.
-
-        A custom *verifier* (store row -> distance or ``inf``) lets a
-        caller charge its own I/O and cost accounting per verification;
-        the default verifies against the in-store values.
-        """
+        """Filter then verify one query; returns ids, distances and stats."""
         query_arr = as_array(query, allow_empty=False)
         surviving, stages = self.filter(
             query_arr, epsilon, rows=rows, band_radius=band_radius
         )
         return self._verified_outcome(
-            surviving,
-            stages,
-            query_arr,
-            epsilon,
-            band_radius,
-            compute_distances,
-            verifier,
+            surviving, stages, query_arr, epsilon, band_radius
         )
 
     def _verified_outcome(
@@ -822,22 +781,33 @@ class FilterCascade:
         query_arr: np.ndarray,
         epsilon: float,
         band_radius: int | None,
-        compute_distances: bool,
-        verifier: Callable[[int], float] | None = None,
     ) -> CascadeOutcome:
-        """Verify the filtered *surviving* rows and assemble the outcome."""
-        if verifier is None:
-            verifier = self._row_verifier(
-                query_arr, epsilon, band_radius, compute_distances
-            )
-        answer_rows, row_distances, dtw_stage = verify_stage(
-            [int(r) for r in surviving], verifier, epsilon
-        )
-        stages.append(dtw_stage)
+        """Verify the filtered *surviving* rows and assemble the outcome.
+
+        One stacked bounded pass per equal-length group of survivors
+        (:meth:`FeatureStore.length_stacks`).
+        """
         ids = self._store.ids
+        distances: dict[int, float] = {}
+        with timed("dtw.verify.seconds"):
+            for group, stack, window in self._store.length_stacks(
+                surviving, query_arr.size, band_radius
+            ):
+                values = dtw_max_early_abandon(
+                    stack, query_arr, epsilon, window=window, stacked=True
+                )
+                for row, distance in zip(group.tolist(), values.tolist()):
+                    if distance <= epsilon:
+                        distances[int(ids[row])] = distance
+        registry = active_registry()
+        if registry is not None:
+            registry.count("dtw.verifications", int(surviving.size))
+        stages.append(
+            charged_stage(STAGE_DTW, int(surviving.size), len(distances))
+        )
         return CascadeOutcome(
-            answer_ids=sorted(int(ids[r]) for r in answer_rows),
-            distances={int(ids[r]): d for r, d in row_distances.items()},
+            answer_ids=sorted(distances),
+            distances=distances,
             candidate_ids=sorted(int(ids[r]) for r in surviving),
             stats=CascadeStats(stages),
         )
@@ -850,7 +820,6 @@ class FilterCascade:
         epsilon: float,
         *,
         band_radius: int | None = None,
-        compute_distances: bool = True,
     ) -> list[CascadeOutcome]:
         """Answer a batch of queries, amortizing the cheap tiers.
 
@@ -926,7 +895,6 @@ class FilterCascade:
                         query_arrs[i],
                         epsilon,
                         band_radius,
-                        compute_distances,
                     )
                 )
         return outcomes

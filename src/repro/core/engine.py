@@ -39,7 +39,6 @@ from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..storage.database import SequenceDatabase
 from ..storage.diskmodel import DiskModel
 from ..types import Sequence, SequenceLike, as_sequence
-from .cascade import CascadeStats
 from .query_engine import BatchResult, QueryEngine, QueryResult, SearchOutcome
 from .sharding import ShardedDatabase
 
@@ -300,20 +299,6 @@ class TimeWarpingDatabase:
         """The shard router (per-shard engines, storages, placement)."""
         return self._sharded
 
-    @property
-    def last_cascade_stats(self) -> CascadeStats | None:
-        """Per-stage pruning counters of the most recent search.
-
-        For :meth:`search_many` this is the stage-wise merge over all
-        queries of the batch (and over all shards).
-        """
-        return self._sharded.last_cascade_stats
-
-    @property
-    def last_candidate_ids(self) -> list[int]:
-        """Lower-bound survivors (pre-verification) of the last search."""
-        return self._sharded.last_candidate_ids
-
     # -- observability -----------------------------------------------------------
 
     @property
@@ -366,8 +351,7 @@ class TimeWarpingDatabase:
 
         The returned :class:`QueryResult` carries this query's cascade
         stage counters, lower-bound survivor ids and a full metrics
-        snapshot — safe under concurrent queries, unlike the
-        :attr:`last_cascade_stats` compatibility view.
+        snapshot — safe under concurrent queries.
         """
         return self._sharded.search_detailed(
             query, epsilon, band_radius=band_radius
@@ -386,8 +370,8 @@ class TimeWarpingDatabase:
         same ids, distances and ordering), but amortizes feature
         extraction across the batch and evaluates the lower-bound tiers
         as whole-database matrix operations instead of per-query index
-        walks.  :attr:`last_cascade_stats` afterwards holds the
-        stage-wise merge over all queries of the batch.
+        walks.  :meth:`search_many_detailed` also returns the
+        stage-wise merge of the batch's stats.
         """
         return self._sharded.search_many(
             queries, epsilon, band_radius=band_radius

@@ -17,9 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol
 
-import numpy as np
-
-from ..distance.bands import sakoe_chiba_window
 from ..distance.dtw import dtw_max_early_abandon
 from ..exceptions import ValidationError
 from ..index.backend import IndexBackend, make_backend
@@ -33,7 +30,7 @@ from ..obs.metrics import (
 from ..obs.querylog import record_query
 from ..obs.tracing import maybe_span
 from ..storage.database import SequenceDatabase
-from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
+from ..types import Sequence, SequenceLike, as_sequence, check_epsilon, check_k
 from .cascade import STAGE_DTW, CascadeStats, FilterCascade, charged_stage
 
 __all__ = [
@@ -192,10 +189,6 @@ class QueryEngine:
         self._cascade: tuple[tuple[int, int], FilterCascade] | None = None
         self._cascade_lock = threading.Lock()
         self._metrics = MetricsRegistry()
-        # Thread-local so concurrent queries never see each other's
-        # stats; the authoritative per-query values travel on the
-        # QueryResult return path.
-        self._last = threading.local()
 
     # -- composition ---------------------------------------------------------
 
@@ -208,20 +201,6 @@ class QueryEngine:
     def backend(self) -> IndexBackend:
         """The candidate-generating index backend."""
         return self._backend
-
-    @property
-    def last_cascade_stats(self) -> CascadeStats | None:
-        """Per-stage pruning counters of this thread's most recent query.
-
-        Compatibility view; prefer :meth:`search_detailed`, whose
-        :class:`QueryResult` carries the stats on the return path.
-        """
-        return getattr(self._last, "stats", None)
-
-    @property
-    def last_candidate_ids(self) -> list[int]:
-        """Lower-bound survivors of this thread's most recent search."""
-        return list(getattr(self._last, "candidate_ids", []))
 
     # -- observability -------------------------------------------------------
 
@@ -368,8 +347,7 @@ class QueryEngine:
         unconstrained one, so the same index remains a sound filter.
 
         Thin wrapper over :meth:`search_detailed` that returns only the
-        matches (per-query stats stay available on this thread's
-        :attr:`last_cascade_stats` compatibility view).
+        matches.
         """
         return self.search_detailed(
             query, epsilon, band_radius=band_radius
@@ -416,19 +394,9 @@ class QueryEngine:
                 with timed("dtw.verify.seconds"):
                     for row in surviving:
                         self._db.charge_fetch(int(ids[row]))
-                    lengths = cascade.store.lengths[surviving]
-                    for length in dict.fromkeys(lengths.tolist()):
-                        group = surviving[lengths == length]
-                        window = (
-                            None
-                            if band_radius is None
-                            else sakoe_chiba_window(
-                                int(length), len(q), band_radius
-                            )
-                        )
-                        stack = np.stack(
-                            [cascade.store.values(int(row)) for row in group]
-                        )
+                    for group, stack, window in cascade.store.length_stacks(
+                        surviving, len(q), band_radius
+                    ):
                         distances = dtw_max_early_abandon(
                             stack, q.values, epsilon, window=window, stacked=True
                         )
@@ -466,8 +434,6 @@ class QueryEngine:
                 result_count=len(matches),
                 total_metric="engine.search.seconds",
             )
-        self._last.stats = result.stats
-        self._last.candidate_ids = result.candidate_ids
         return result
 
     def search_many(
@@ -559,8 +525,6 @@ class QueryEngine:
                 result_count=sum(len(r) for r in results),
                 total_metric="engine.search_many.seconds",
             )
-        if result.stats is not None:
-            self._last.stats = result.stats
         return result
 
     def knn(self, query: SequenceLike, k: int) -> list[SearchOutcome]:
@@ -580,8 +544,7 @@ class QueryEngine:
         q = as_sequence(query)
         if len(q) == 0:
             raise ValidationError("query sequence must be non-empty")
-        if k <= 0:
-            raise ValidationError(f"k must be positive, got {k}")
+        check_k(k)
         with self._query_scope() as per_query, maybe_span(
             "engine.knn", backend=self._backend.name, k=k
         ):

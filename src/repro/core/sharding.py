@@ -32,7 +32,6 @@ so answers and counters are bit-identical across executors.
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator
 
@@ -48,7 +47,7 @@ from ..obs.querylog import record_query
 from ..obs.tracing import maybe_span
 from ..storage.database import SequenceDatabase
 from ..storage.diskmodel import DiskModel
-from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
+from ..types import Sequence, SequenceLike, as_sequence, check_epsilon, check_k
 from .cascade import CascadeStats
 from .query_engine import BatchResult, QueryEngine, QueryResult, SearchOutcome
 
@@ -114,7 +113,6 @@ class ShardedDatabase:
         self._rev: list[dict[int, int]] = [{} for _ in range(shards)]
         self._next_gid = 0
         self._metrics = MetricsRegistry()
-        self._last = threading.local()
         self._executor: ShardExecutor = make_executor(executor, self._engines)
 
     @classmethod
@@ -161,7 +159,6 @@ class ShardedDatabase:
                 next_gid = max(self._assign) + 1 if self._assign else 0
         self._next_gid = next_gid
         self._metrics = MetricsRegistry()
-        self._last = threading.local()
         self._executor = make_executor(executor, self._engines)
         return self
 
@@ -201,20 +198,6 @@ class ShardedDatabase:
     def storages(self) -> list[SequenceDatabase]:
         """Each shard's paged storage (shard order)."""
         return [engine.database for engine in self._engines]
-
-    @property
-    def last_cascade_stats(self) -> CascadeStats | None:
-        """Shard-merged counters of this thread's most recent query.
-
-        Compatibility view; prefer :meth:`search_detailed`, whose
-        :class:`QueryResult` carries the stats on the return path.
-        """
-        return getattr(self._last, "stats", None)
-
-    @property
-    def last_candidate_ids(self) -> list[int]:
-        """Lower-bound survivors (gids) of this thread's last search."""
-        return list(getattr(self._last, "candidate_ids", []))
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -469,8 +452,6 @@ class ShardedDatabase:
                 result_count=len(merged),
                 total_metric="sharded.search.seconds",
             )
-        self._last.stats = result.stats
-        self._last.candidate_ids = result.candidate_ids
         return result
 
     def search_many(
@@ -546,8 +527,6 @@ class ShardedDatabase:
                 result_count=sum(len(r) for r in merged),
                 total_metric="sharded.search_many.seconds",
             )
-        if result.stats is not None:
-            self._last.stats = result.stats
         return result
 
     def knn(self, query: SequenceLike, k: int) -> list[SearchOutcome]:
@@ -563,6 +542,7 @@ class ShardedDatabase:
         preserves insertion order), so the global top-*k* is a subset
         of the union of the per-shard lists.
         """
+        check_k(k)
         with self._query_scope() as per_query, maybe_span(
             "sharded.knn", shards=self._n, backend=self._backend_name, k=k
         ):

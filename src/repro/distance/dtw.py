@@ -24,10 +24,10 @@ distances, paths, or the charged ``dtw.*`` metrics.  The full-matrix
 entry points (:func:`dtw_additive_matrix`, :func:`dtw_max_matrix`) cost
 ``O(|S| x |Q|)`` time and memory and support warping-path recovery and
 global constraint windows.  Every other Definition-2 entry point —
-:func:`dtw_max`, :func:`dtw_max_within`, :func:`dtw_distance` — is one
-*bounded pass* (:func:`dtw_max_early_abandon`): the kernel fills the
-max recurrence one anti-diagonal at a time and returns the exact value
-when it is ``<= epsilon``, else ``inf``.  Because minimax only compares
+:func:`dtw_max`, :func:`dtw_distance` — is one *bounded pass*
+(:func:`dtw_max_early_abandon`): the kernel fills the max recurrence
+one anti-diagonal at a time and returns the exact value when it is
+``<= epsilon``, else ``inf``.  Because minimax only compares
 and never rounds, that value is bit-identical to the matrix corner.
 The pass gives up once two consecutive anti-diagonals hold no cell
 within tolerance — no warping path can cross both — which is the
@@ -66,7 +66,6 @@ __all__ = [
     "dtw_max",
     "dtw_max_matrix",
     "dtw_max_early_abandon",
-    "dtw_max_within",
     "warping_path",
 ]
 
@@ -375,18 +374,6 @@ def _bounded_stack(
             diagonal = int(abandoned[lane])
             _charge_bounded(n, m, window, diagonal if diagonal >= 0 else None)
     return values
-
-
-def dtw_max_within(
-    s: SequenceLike, q: SequenceLike, epsilon: float
-) -> bool:
-    """Decision procedure: is ``dtw_max(S, Q) <= epsilon``?
-
-    One bounded pass (:func:`dtw_max_early_abandon`) compared against
-    *epsilon* — the minimax-path characterization of the Definition-2
-    distance.
-    """
-    return dtw_max_early_abandon(s, q, epsilon) <= epsilon
 
 
 def dtw_max(s: SequenceLike, q: SequenceLike) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..core.cascade import CascadeStats
-from ..distance.dtw import dtw_max_early_abandon, dtw_max_within
+from ..distance.dtw import dtw_max_early_abandon
 from ..exceptions import ValidationError
 from ..obs.metrics import (
     MetricsRegistry,
@@ -82,10 +82,8 @@ class SearchReport:
     answers:
         Ids of sequences with ``D_tw(S, Q) <= epsilon`` (ascending).
     distances:
-        ``{seq_id: D_tw}`` for every answer — populated only when the
-        method was constructed with ``compute_distances=True``; the
-        similarity-search problem itself only requires the ``<= eps``
-        decision.
+        ``{seq_id: D_tw}`` for every answer, exact: the verify pass that
+        decides ``<= eps`` measures the distance at the same cost.
     candidates:
         Ids surviving the method's filtering step — what Figure 2 plots.
         For Naive-Scan this equals ``answers`` by the paper's convention.
@@ -129,21 +127,13 @@ class SearchMethod(abc.ABC):
     ----------
     database:
         The sequence database to search.
-    compute_distances:
-        When True, verification also refines the exact ``D_tw`` value
-        of every answer (populating :attr:`SearchReport.distances`);
-        when False (default) only the ``<= eps`` decision is computed,
-        which is all the paper's similarity-search problem requires.
     """
 
     #: Human-readable method name, as used in the paper's figures.
     name: str = "abstract"
 
-    def __init__(
-        self, database: SequenceDatabase, *, compute_distances: bool = False
-    ) -> None:
+    def __init__(self, database: SequenceDatabase) -> None:
         self._db = database
-        self._compute_distances = compute_distances
         self._built = False
         self.build_stats = MethodStats()
         #: Per-stage pruning counters the last ``_search_impl`` reported.
@@ -198,8 +188,6 @@ class SearchMethod(abc.ABC):
             start_cpu = time.process_time()
             self._last_cascade = None
             answers, distances, candidates = self._search_impl(q, epsilon, stats)
-            if not self._compute_distances:
-                distances = {}  # decision-only: values are not exact
             stats.cpu_seconds += time.process_time() - start_cpu
             stats.simulated_io_seconds += self._db.io.delta_seconds(mark)
             self._charge_method_stats(per_query, stats)
@@ -262,19 +250,12 @@ class SearchMethod(abc.ABC):
         epsilon: float,
         stats: MethodStats,
     ) -> float:
-        """Early-abandoning ``D_tw`` check.
+        """Early-abandoning ``D_tw`` check of one fetched candidate.
 
-        Returns the exact distance when ``compute_distances`` is on;
-        otherwise a value that is ``<= epsilon`` iff the sequence
-        qualifies (the decision is exact either way, the value is not).
-        Non-qualifying sequences always yield ``inf``.
+        The exact distance when it is ``<= epsilon``, else ``inf``.
         """
         stats.dtw_computations += 1
-        if self._compute_distances:
-            return dtw_max_early_abandon(sequence.values, query.values, epsilon)
-        if dtw_max_within(sequence.values, query.values, epsilon):
-            return epsilon
-        return float("inf")
+        return dtw_max_early_abandon(sequence.values, query.values, epsilon)
 
     def __repr__(self) -> str:
         state = "built" if self._built else "unbuilt"

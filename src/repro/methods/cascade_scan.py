@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Iterable
 
-from ..core.cascade import DEFAULT_TIERS, FilterCascade, scan_cascade
+from ..core.cascade import DEFAULT_TIERS, STAGE_DTW, FilterCascade, scan_cascade
 from ..exceptions import ValidationError
 from ..types import Sequence, SequenceLike, as_sequence, check_epsilon
 from .base import MethodStats, SearchMethod, SearchReport
@@ -43,8 +43,6 @@ class CascadeScan(SearchMethod):
         When given, verification uses Sakoe–Chiba-constrained DTW and
         the ``lb_keogh`` envelope tier activates (it bounds only the
         band-constrained distance).
-    compute_distances:
-        As in :class:`~repro.methods.base.SearchMethod`.
     """
 
     name = "Cascade-Scan"
@@ -54,9 +52,8 @@ class CascadeScan(SearchMethod):
         database,
         *,
         band_radius: int | None = None,
-        compute_distances: bool = False,
     ) -> None:
-        super().__init__(database, compute_distances=compute_distances)
+        super().__init__(database)
         if band_radius is not None and band_radius < 0:
             raise ValidationError(
                 f"band_radius must be non-negative, got {band_radius}"
@@ -89,21 +86,10 @@ class CascadeScan(SearchMethod):
         store = cascade.store
         stats.sequences_read += len(store)
         stats.lower_bound_computations += len(store)
-
-        def verifier(row: int) -> float:
-            return self._verify(store.sequence(row), query, epsilon, stats)
-
         outcome = cascade.run(
-            query.values,
-            epsilon,
-            band_radius=self._band_radius,
-            verifier=None if self._band_radius is not None else verifier,
+            query.values, epsilon, band_radius=self._band_radius
         )
-        if self._band_radius is not None:
-            # Banded verification runs inside the cascade (the method's
-            # decision-only shortcut does not apply to banded DTW);
-            # account for it here.
-            stats.dtw_computations += outcome.stats.stage("dtw").n_in
+        stats.dtw_computations += outcome.stats.stage(STAGE_DTW).n_in
         self._last_cascade = outcome.stats
         return outcome.answer_ids, outcome.distances, outcome.candidate_ids
 
@@ -134,7 +120,6 @@ class CascadeScan(SearchMethod):
             [q.values for q in query_seqs],
             epsilon,
             band_radius=self._band_radius,
-            compute_distances=self._compute_distances,
         )
         cpu = time.process_time() - start_cpu
         io = self._db.io.delta_seconds(mark)
@@ -142,7 +127,7 @@ class CascadeScan(SearchMethod):
         m = len(query_seqs)
         reports: list[SearchReport] = []
         for outcome in outcomes:
-            verified = outcome.stats.stage("dtw").n_in
+            verified = outcome.stats.stage(STAGE_DTW).n_in
             stats = MethodStats(
                 cpu_seconds=cpu / m,
                 simulated_io_seconds=io / m,
@@ -155,9 +140,7 @@ class CascadeScan(SearchMethod):
                     method=self.name,
                     epsilon=epsilon,
                     answers=sorted(outcome.answer_ids),
-                    distances=dict(outcome.distances)
-                    if self._compute_distances
-                    else {},
+                    distances=dict(outcome.distances),
                     candidates=sorted(outcome.candidate_ids),
                     stats=stats,
                     cascade=outcome.stats,

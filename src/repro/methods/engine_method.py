@@ -52,10 +52,9 @@ class EngineMethod(SearchMethod):
         backend: str = "rtree",
         shards: int = 1,
         backend_options: dict[str, object] | None = None,
-        compute_distances: bool = False,
         executor: str | None = None,
     ) -> None:
-        super().__init__(database, compute_distances=compute_distances)
+        super().__init__(database)
         self.name = f"Engine[{backend}x{shards}]"
         self._backend_name = backend
         self._shards = shards

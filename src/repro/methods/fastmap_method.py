@@ -47,10 +47,8 @@ class FastMapMethod(SearchMethod):
 
     name = "FastMap"
 
-    def __init__(
-        self, database, *, k: int = 4, seed: int = 0, compute_distances: bool = False
-    ) -> None:
-        super().__init__(database, compute_distances=compute_distances)
+    def __init__(self, database, *, k: int = 4, seed: int = 0) -> None:
+        super().__init__(database)
         self._k = k
         self._seed = seed
         self._backend: FastMapBackend | None = None

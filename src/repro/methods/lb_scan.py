@@ -17,7 +17,7 @@ the filter drops.
 
 from __future__ import annotations
 
-from ..core.cascade import TIER_YI, FilterCascade, scan_cascade
+from ..core.cascade import STAGE_DTW, TIER_YI, FilterCascade, scan_cascade
 from ..types import Sequence
 from .base import MethodStats, SearchMethod
 
@@ -47,10 +47,7 @@ class LBScan(SearchMethod):
         store = cascade.store
         stats.sequences_read += len(store)
         stats.lower_bound_computations += len(store)
-
-        def verifier(row: int) -> float:
-            return self._verify(store.sequence(row), query, epsilon, stats)
-
-        outcome = cascade.run(query.values, epsilon, verifier=verifier)
+        outcome = cascade.run(query.values, epsilon)
+        stats.dtw_computations += outcome.stats.stage(STAGE_DTW).n_in
         self._last_cascade = outcome.stats
         return outcome.answer_ids, outcome.distances, outcome.candidate_ids

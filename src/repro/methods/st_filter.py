@@ -60,9 +60,8 @@ class STFilter(SearchMethod):
         *,
         n_categories: int = 100,
         strategy: str = "equal-width",
-        compute_distances: bool = False,
     ) -> None:
-        super().__init__(database, compute_distances=compute_distances)
+        super().__init__(database)
         self._n_categories = n_categories
         self._strategy = strategy
         self._backend: SuffixTreeBackend | None = None

@@ -71,9 +71,8 @@ class TWSimSearch(SearchMethod):
         bulk_load: bool = True,
         split: SplitStrategy = SplitStrategy.QUADRATIC,
         index: str = "rtree",
-        compute_distances: bool = False,
     ) -> None:
-        super().__init__(database, compute_distances=compute_distances)
+        super().__init__(database)
         if index not in BACKENDS or not BACKENDS[index].exact:
             exact = tuple(n for n, b in BACKENDS.items() if b.exact)
             raise ValidationError(

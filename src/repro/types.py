@@ -20,13 +20,21 @@ Paper                     Library
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Iterable, Iterator, Union
 
 import numpy as np
 
 from .exceptions import EmptySequenceError, ValidationError
 
-__all__ = ["Sequence", "SequenceLike", "as_array", "as_sequence", "check_epsilon"]
+__all__ = [
+    "Sequence",
+    "SequenceLike",
+    "as_array",
+    "as_sequence",
+    "check_epsilon",
+    "check_k",
+]
 
 #: Anything acceptable as sequence input to public API functions.
 SequenceLike = Union["Sequence", np.ndarray, Iterable[float]]
@@ -62,15 +70,25 @@ def as_array(values: SequenceLike, *, allow_empty: bool = True) -> np.ndarray:
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Reject a NaN or negative tolerance at the API boundary.
+    """Reject a non-real, NaN or negative tolerance at the API boundary.
 
     ``+inf`` is legal: it is the tolerance of an unbounded (kNN or
-    exact-distance) verification.
+    exact-distance) verification.  A ``bool`` is not a tolerance.
     """
+    if isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real):
+        raise ValidationError(f"epsilon must be a real number, got {epsilon!r}")
     if math.isnan(epsilon):
         raise ValidationError("epsilon must not be NaN")
     if epsilon < 0:
         raise ValidationError(f"epsilon must be non-negative, got {epsilon}")
+
+
+def check_k(k: int) -> None:
+    """Reject a non-integer, ``bool`` or non-positive kNN *k*."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValidationError(f"k must be an integer, got {k!r}")
+    if k <= 0:
+        raise ValidationError(f"k must be positive, got {k}")
 
 
 def as_sequence(values: SequenceLike, *, seq_id: int | None = None) -> "Sequence":

@@ -8,6 +8,7 @@ the final cascade result must equal Naive-Scan exactly.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -63,7 +64,7 @@ def test_cascade_result_equals_naive_scan(sequences, query, epsilon):
     """End to end, the cascade is exact: same answers as Naive-Scan."""
     db = SequenceDatabase()
     db.insert_many(sequences)
-    naive = NaiveScan(db, compute_distances=True).build()
+    naive = NaiveScan(db).build()
     report = naive.search(query, epsilon)
 
     cascade = FilterCascade.from_database(db)
@@ -76,25 +77,63 @@ def test_cascade_result_equals_naive_scan(sequences, query, epsilon):
     assert outcome.stats.stage("dtw").n_out == len(report.answers)
 
 
+#: Sequences of a few shared lengths, so survivors form real stacks
+#: (several rows of one length) next to rows of other lengths.
+mixed_length_sequence = st.sampled_from((3, 5, 8)).flatmap(
+    lambda n: st.lists(elements, min_size=n, max_size=n)
+)
+
+
 @given(
-    database_strategy,
-    st.lists(sequence_strategy, min_size=1, max_size=4),
+    database_strategy | st.lists(mixed_length_sequence, min_size=2, max_size=12),
+    st.lists(sequence_strategy | mixed_length_sequence, min_size=1, max_size=4),
     epsilon_strategy,
+    st.none() | st.integers(min_value=0, max_value=4),
 )
 @settings(deadline=None)
-def test_run_many_matches_per_query_run(sequences, queries, epsilon):
-    """Batched filtering changes the schedule, never the results."""
+def test_run_many_matches_per_query_run(sequences, queries, epsilon, band_radius):
+    """Batched filtering changes the schedule, never the results.
+
+    Banded or not, every distance is the (banded) oracle's: each
+    equal-length stack is verified with its own Sakoe-Chiba window.
+    """
     cascade = FilterCascade(FeatureStore(sequences))
-    batch = cascade.run_many(queries, epsilon)
+    batch = cascade.run_many(queries, epsilon, band_radius=band_radius)
     assert len(batch) == len(queries)
     for query, outcome in zip(queries, batch):
-        single = cascade.run(query, epsilon)
+        single = cascade.run(query, epsilon, band_radius=band_radius)
         assert outcome.answer_ids == single.answer_ids
         assert outcome.candidate_ids == single.candidate_ids
         assert outcome.distances == single.distances
-        assert [s.name for s in outcome.stats.stages] == [
-            s.name for s in single.stats.stages
-        ]
+        assert outcome.stats == single.stats
+        for seq_id, distance in outcome.distances.items():
+            values = sequences[seq_id]
+            window = (
+                None
+                if band_radius is None
+                else sakoe_chiba_window(len(values), len(query), band_radius)
+            )
+            assert distance == dtw_max_matrix(values, query, window=window).distance
+
+
+def test_length_stacks_groups_rows_by_length_in_first_appearance_order():
+    lengths = (3, 5, 3, 8, 5, 3)
+    store = FeatureStore(
+        [[float(i + j) for j in range(n)] for i, n in enumerate(lengths)]
+    )
+    rows = np.array([5, 1, 0, 3, 4], dtype=np.int64)
+    stacks = list(store.length_stacks(rows, 4))
+    assert [group.tolist() for group, _, _ in stacks] == [[5, 0], [1, 4], [3]]
+    for group, values, window in stacks:
+        assert window is None
+        assert values.shape == (group.size, lengths[group[0]])
+        for lane, row in enumerate(group.tolist()):
+            assert np.array_equal(values[lane], store.values(row))
+    banded = list(store.length_stacks(rows, 4, band_radius=1))
+    assert [window for _, _, window in banded] == [
+        sakoe_chiba_window(n, 4, 1) for n in (3, 5, 8)
+    ]
+    assert list(store.length_stacks(np.empty(0, dtype=np.int64), 4)) == []
 
 
 @given(

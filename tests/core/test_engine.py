@@ -155,6 +155,14 @@ class TestKnn:
         with pytest.raises(ValidationError):
             populated.knn([1.0], k=0)
 
+    def test_non_integer_k_rejected_by_the_engine(self):
+        engine = QueryEngine(SequenceDatabase(page_size=512))
+        engine.insert([1.0, 2.0])
+        for k in (2.5, "3", True, None):
+            with pytest.raises(ValidationError, match="k must be an integer"):
+                engine.knn([1.0], k)
+        assert len(engine.knn([1.0], np.int64(1))) == 1
+
     def test_empty_query_rejected(self, populated):
         with pytest.raises(ValidationError):
             populated.knn([], k=1)

@@ -9,8 +9,7 @@ The tentpole invariants:
   several, for every exact backend.  Structure-dependent counters
   (node reads, page counts) legitimately differ and are excluded.
 * **Per-query isolation** — concurrent searches each get their own
-  stats on the :class:`QueryResult` return path, and the thread-local
-  ``last_cascade_stats`` compatibility view never mixes threads.
+  stats on the :class:`QueryResult` return path.
 """
 
 from __future__ import annotations
@@ -299,39 +298,15 @@ class TestConcurrentQueries:
         expected = [db.search_detailed(query, epsilon) for query in queries]
 
         def run(index: int):
-            result = db.search_detailed(queries[index], epsilon)
-            # The compatibility view is thread-local: right after the
-            # call it reflects *this* thread's query, not a racing one.
-            view_stats = db.last_cascade_stats
-            view_ids = db.last_candidate_ids
-            return result, view_stats, view_ids
+            return db.search_detailed(queries[index], epsilon)
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             outcomes = list(pool.map(run, range(len(queries))))
-        for index, (result, view_stats, view_ids) in enumerate(outcomes):
+        for index, result in enumerate(outcomes):
             reference = expected[index]
             assert result.matches == reference.matches
             assert result.candidate_ids == reference.candidate_ids
             assert _invariant(result.metrics) == _invariant(reference.metrics)
-            assert view_ids == reference.candidate_ids
-            assert [
-                (stage.name, stage.n_in, stage.n_out)
-                for stage in view_stats.stages
-            ] == [
-                (stage.name, stage.n_in, stage.n_out)
-                for stage in reference.stats.stages
-            ]
-
-    def test_fresh_thread_has_no_last_stats(self, arrays) -> None:
-        db = _build(arrays, "rtree", 1)
-        db.search(arrays[0], 1.0)
-
-        def probe():
-            return db.last_cascade_stats, db.last_candidate_ids
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            stats, ids = pool.submit(probe).result()
-        assert stats is None and ids == []
 
 
 class TestStreamingCounters:

@@ -93,8 +93,7 @@ def test_search_many_returns_full_sequences(populated):
 
 def test_search_many_merged_stats(populated):
     db, queries = populated
-    db.search_many(queries, 2.0)
-    stats = db.last_cascade_stats
+    stats = db.search_many_detailed(queries, 2.0).stats
     assert stats is not None
     assert [s.name for s in stats.stages] == ["lb_yi", "lb_kim", "lb_keogh", "dtw"]
     # Merged over the batch: every query enters the first tier in full.

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.streaming import StreamMonitor
-from repro.distance.dtw import dtw_max_within
+from repro.distance.dtw import dtw_max_early_abandon
 from repro.exceptions import ValidationError
 
 elements = st.floats(min_value=-20, max_value=20, allow_nan=False)
@@ -88,7 +88,7 @@ class TestAgainstBatchOracle:
         monitor = StreamMonitor(query, eps)
         for i, value in enumerate(stream, start=1):
             streamed = monitor.push(value)
-            batch = dtw_max_within(stream[:i], query, eps)
+            batch = dtw_max_early_abandon(stream[:i], query, eps) <= eps
             assert streamed == batch
 
     @given(

@@ -16,7 +16,6 @@ from repro.distance.dtw import (
     dtw_max,
     dtw_max_early_abandon,
     dtw_max_matrix,
-    dtw_max_within,
     warping_path,
 )
 from repro.exceptions import ValidationError
@@ -113,7 +112,7 @@ class TestEarlyAbandon:
             q = rng.uniform(0, 3, rng.integers(1, 10))
             d = dtw_max(s, q)
             eps = float(rng.uniform(0, 3))
-            assert dtw_max_within(s, q, eps) == (d <= eps + 1e-15)
+            assert (dtw_max_early_abandon(s, q, eps) <= eps) == (d <= eps + 1e-15)
 
 
 class TestDefinition1Additive:
@@ -258,8 +257,9 @@ class TestRefinementPaths:
     def test_within_at_exactly_threshold_is_true(self) -> None:
         """Admissibility is ``<= t``, so t == D_tw must answer True —
         the boundary the cascade's verification step relies on."""
-        assert dtw_max_within([0.0, 2.0], [0.0, 1.0], 1.0) is True
-        assert dtw_max_within([0.0, 2.0], [0.0, 1.0], math.nextafter(1.0, 0.0)) is False
+        below = math.nextafter(1.0, 0.0)
+        assert dtw_max_early_abandon([0.0, 2.0], [0.0, 1.0], 1.0) <= 1.0
+        assert not dtw_max_early_abandon([0.0, 2.0], [0.0, 1.0], below) <= below
         rng = np.random.default_rng(23)
         for _ in range(30):
             s = rng.uniform(0, 3, rng.integers(1, 10))
@@ -267,14 +267,14 @@ class TestRefinementPaths:
             d = dtw_max(s, q)
             # The distance is one of the pairwise differences, so the
             # grid at tolerance exactly d admits the optimal path.
-            assert dtw_max_within(s, q, d) is True
+            assert dtw_max_early_abandon(s, q, d) <= d
 
     def test_within_exact_threshold_respects_early_abandon_charges(self) -> None:
         from repro.obs.metrics import MetricsRegistry, use_registry
 
         registry = MetricsRegistry()
         with use_registry(registry):
-            assert dtw_max_within([0.0, 9.0], [0.0, 0.0], 1.0) is False
+            assert not dtw_max_early_abandon([0.0, 9.0], [0.0, 0.0], 1.0) <= 1.0
         snapshot = registry.snapshot()
         # The far corner fails the O(1) corner test: 2 cells, depth 0.
         assert snapshot.counters["dtw.cells"] == 2

@@ -15,7 +15,6 @@ from repro.distance.dtw import (
     dtw_max,
     dtw_max_early_abandon,
     dtw_max_matrix,
-    dtw_max_within,
 )
 
 elements = st.floats(min_value=-100, max_value=100, allow_nan=False)
@@ -75,8 +74,8 @@ def test_early_abandon_agrees_with_exact(s, q, eps):
 
 @given(seqs, seqs, st.floats(min_value=0, max_value=200, allow_nan=False))
 def test_within_is_monotone_in_epsilon(s, q, eps):
-    if dtw_max_within(s, q, eps):
-        assert dtw_max_within(s, q, eps * 2 + 1)
+    if dtw_max_early_abandon(s, q, eps) <= eps:
+        assert dtw_max_early_abandon(s, q, eps * 2 + 1) <= eps * 2 + 1
 
 
 @given(seqs, seqs)

@@ -39,7 +39,6 @@ from repro.distance import (
     dtw_max_matrix,
     warping_path,
 )
-from repro.distance.dtw import dtw_max_within
 from repro.distance.bands import itakura_window, sakoe_chiba_window
 from repro.distance.base import L1, L2, LINF, BaseDistance
 from repro.distance.kernels import (
@@ -266,7 +265,9 @@ class TestMaxParity:
     def test_within_bit_exact(
         self, kernel: str, s: list, q: list, epsilon: float
     ) -> None:
-        assert_kernel_parity(kernel, lambda: dtw_max_within(s, q, epsilon))
+        assert_kernel_parity(
+            kernel, lambda: dtw_max_early_abandon(s, q, epsilon) <= epsilon
+        )
 
     @given(s=sequences, q=sequences)
     def test_max_matrix_and_path_bit_exact(
@@ -492,8 +493,6 @@ class TestBoundedParity:
         with use_kernel(kernel):
             with pytest.raises(ValidationError, match="epsilon must not be NaN"):
                 dtw_max_early_abandon([1.0], [1.0], float("nan"))
-            with pytest.raises(ValidationError, match="epsilon"):
-                dtw_max_within([1.0], [1.0], float("nan"))
             assert dtw_max_early_abandon([1.0], [2.0], math.inf) == 1.0
 
 
@@ -510,7 +509,9 @@ class TestEdgeCaseParity:
     def test_empty_boundaries(self, kernel: str, pair) -> None:
         s, q = pair
         assert_kernel_parity(kernel, lambda: dtw_additive(s, q))
-        assert_kernel_parity(kernel, lambda: dtw_max_within(s, q, 1.0))
+        assert_kernel_parity(
+            kernel, lambda: dtw_max_early_abandon(s, q, 1.0) <= 1.0
+        )
 
     @given(value=elements, n=st.integers(1, 10), m=st.integers(1, 10))
     def test_constant_sequences(

@@ -185,6 +185,34 @@ class TestDegenerateLayouts:
             assert distances == sorted(distances)
 
 
+class TestBoundaryValidation:
+    """A malformed ``k`` or tolerance is one ``ValidationError`` from the
+    router, raised before any shard sees the query."""
+
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    def test_bad_k_and_epsilon_rejected_before_fan_out(
+        self, executor, arrays, queries
+    ):
+        query = queries[0]
+        with _facade(arrays[:8], shards=2, executor=executor) as facade:
+            for k in (2.5, "3", True, None, 0, -1):
+                with pytest.raises(ValidationError, match="k must be"):
+                    facade.knn(query, k)
+            for epsilon in ("0.5", None, True, [0.5], float("nan"), -1.0):
+                with pytest.raises(ValidationError, match="epsilon"):
+                    facade.search(query, epsilon)
+                with pytest.raises(ValidationError, match="epsilon"):
+                    facade.search_many([query], epsilon)
+            counters = facade.metrics_snapshot().counters
+            assert counters.get("sharded.queries", 0) == 0
+            assert counters.get("sharded.knn_queries", 0) == 0
+            # The shards are untouched and still answer.
+            assert len(facade.knn(query, np.int64(3))) == 3
+            assert facade.search(query, np.float64(0.5)) == facade.search(
+                query, 0.5
+            )
+
+
 class TestThreadPoolReuse:
     def test_consecutive_queries_reuse_one_pool(self, arrays, queries):
         """Regression: the old router built a fresh pool per call."""

@@ -20,8 +20,8 @@ def queries(small_walk_dataset):
 
 
 def test_agrees_with_naive_scan(walk_database, queries):
-    naive = NaiveScan(walk_database, compute_distances=True).build()
-    cascade = CascadeScan(walk_database, compute_distances=True).build()
+    naive = NaiveScan(walk_database).build()
+    cascade = CascadeScan(walk_database).build()
     for eps in EPSILONS:
         for query in queries:
             expected = naive.search(query, eps)
@@ -68,7 +68,7 @@ def test_cascade_stage_reporting(walk_database, queries):
 
 
 def test_search_many_equals_per_query_search(walk_database, queries):
-    cascade = CascadeScan(walk_database, compute_distances=True).build()
+    cascade = CascadeScan(walk_database).build()
     for eps in EPSILONS:
         reports = cascade.search_many(queries, eps)
         assert len(reports) == len(queries)
@@ -97,9 +97,7 @@ def test_search_many_validation(walk_database):
 
 def test_banded_search_is_exact(walk_database, queries):
     radius = 2
-    cascade = CascadeScan(
-        walk_database, band_radius=radius, compute_distances=True
-    ).build()
+    cascade = CascadeScan(walk_database, band_radius=radius).build()
     query = queries[0]
     eps = EPSILONS[1]
     expected = {}

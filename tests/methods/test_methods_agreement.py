@@ -118,24 +118,44 @@ class TestStatsAccounting:
             report.candidate_ratio(0)
 
 
-class TestComputeDistances:
-    def test_distances_populated_on_request(self, built):
-        from repro.distance.dtw import dtw_max
+class TestExactDistances:
+    """Every method reports the exact ``D_tw`` of every answer."""
 
-        sequences, db, _ = built
-        method = NaiveScan(db, compute_distances=True).build()
-        query = sequences[4]
-        report = method.search(query, 0.3)
-        assert set(report.distances) == set(report.answers)
-        for sid, dist in report.distances.items():
-            assert dist == pytest.approx(
-                dtw_max(db.fetch(sid).values, query.values)
-            )
+    def test_every_method_reports_exact_distances(self, built):
+        from repro.distance.bands import sakoe_chiba_window
+        from repro.distance.dtw import dtw_max, dtw_max_matrix
+        from repro.methods import CascadeScan, EngineMethod
 
-    def test_distances_empty_by_default(self, built):
-        sequences, _, methods = built
-        report = methods["naive"].search(sequences[4], 0.3)
-        assert report.distances == {}
+        sequences, db, methods = built
+        radius = 2
+        extra = {
+            "cascade": CascadeScan(db).build(),
+            "cascade-banded": CascadeScan(db, band_radius=radius).build(),
+            "engine": EngineMethod(db, executor="serial").build(),
+            "fastmap": FastMapMethod(db, k=3, seed=1).build(),
+        }
+        queries = [sequences[4], sequences[17]]
+        try:
+            for name, method in {**methods, **extra}.items():
+                reports = [method.search(q, 0.3) for q in queries]
+                reports += method.search_many(queries, 0.3)
+                for query, report in zip(queries * 2, reports):
+                    assert report.answers, name
+                    assert sorted(report.distances) == report.answers, name
+                    for sid, distance in report.distances.items():
+                        values = db.fetch(sid).values
+                        if name == "cascade-banded":
+                            window = sakoe_chiba_window(
+                                len(values), len(query), radius
+                            )
+                            expected = dtw_max_matrix(
+                                values, query.values, window=window
+                            ).distance
+                        else:
+                            expected = dtw_max(values, query.values)
+                        assert distance == expected, (name, sid)
+        finally:
+            extra["engine"].close()
 
 
 class TestFastMapBehaviour:

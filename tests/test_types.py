@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import EmptySequenceError, ValidationError
-from repro.types import Sequence, as_array, as_sequence
+from repro.types import (
+    Sequence,
+    as_array,
+    as_sequence,
+    check_epsilon,
+    check_k,
+)
 
 
 class TestAsArray:
@@ -120,3 +126,30 @@ class TestAsSequence:
         seq = as_sequence([1.0, 2.0], seq_id=3)
         assert isinstance(seq, Sequence)
         assert seq.seq_id == 3
+
+
+class TestBoundaryChecks:
+    @pytest.mark.parametrize(
+        "epsilon", [0, 0.5, np.float64(0.5), np.int64(2), float("inf")]
+    )
+    def test_real_epsilon_accepted(self, epsilon):
+        check_epsilon(epsilon)
+
+    @pytest.mark.parametrize("epsilon", ["0.5", None, True, False, [1.0], 1j])
+    def test_non_real_or_bool_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValidationError, match="epsilon must be a real number"):
+            check_epsilon(epsilon)
+
+    @pytest.mark.parametrize("k", [1, 10, np.int64(3)])
+    def test_integer_k_accepted(self, k):
+        check_k(k)
+
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3", None, True, np.float64(2)])
+    def test_non_integer_or_bool_k_rejected(self, k):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            check_k(k)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_non_positive_k_rejected(self, k):
+        with pytest.raises(ValidationError, match="k must be positive"):
+            check_k(k)
