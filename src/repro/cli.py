@@ -22,6 +22,7 @@ accepts an argv list and returns a process exit code.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack
 from pathlib import Path
@@ -1003,7 +1004,16 @@ def main(argv: TypingSequence[str] | None = None) -> int:
                 scopes.enter_context(use_tracer(tracer))
             code = _COMMANDS[args.command](args)
         _emit_observability(args, registry, tracer)
+        # Flush here so a reader that closed the pipe surfaces below,
+        # not in the interpreter's exit flush.
+        sys.stdout.flush()
         return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro query ... | head``):
+        # not an error.  Point stdout at devnull so the exit flush of
+        # whatever is still buffered stays silent.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

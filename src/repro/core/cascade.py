@@ -66,6 +66,7 @@ __all__ = [
     "charged_stage",
     "CascadeStats",
     "FeatureStore",
+    "length_groups",
     "CascadeOutcome",
     "FilterCascade",
     "verify_stage",
@@ -229,6 +230,17 @@ def _packed_rows(
         else np.empty(0, dtype=np.float64)
     )
     return lengths, offsets, values_flat
+
+
+def length_groups(lengths: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Group the positions of *lengths* by value, for a stacked verify.
+
+    Yields ``(length, positions)`` per distinct length, in order of first
+    appearance, with the positions in ascending order — the one grouping
+    rule every stacked verify follows.
+    """
+    for length in dict.fromkeys(lengths.tolist()):
+        yield length, np.flatnonzero(lengths == length)
 
 
 class FeatureStore:
@@ -567,9 +579,8 @@ class FeatureStore:
         of a ``length x query_length`` fill at *band_radius* (``None``
         when unbanded).
         """
-        lengths = self.lengths[rows]
-        for length in dict.fromkeys(lengths.tolist()):
-            group = rows[lengths == length]
+        for length, picks in length_groups(self.lengths[rows]):
+            group = rows[picks]
             window = (
                 None
                 if band_radius is None

@@ -15,7 +15,10 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Protocol
+
+import numpy as np
 
 from ..distance.dtw import dtw_max_early_abandon
 from ..exceptions import ValidationError
@@ -31,7 +34,13 @@ from ..obs.querylog import record_query
 from ..obs.tracing import maybe_span
 from ..storage.database import SequenceDatabase
 from ..types import Sequence, SequenceLike, as_sequence, check_epsilon, check_k
-from .cascade import STAGE_DTW, CascadeStats, FilterCascade, charged_stage
+from .cascade import (
+    STAGE_DTW,
+    CascadeStats,
+    FilterCascade,
+    charged_stage,
+    length_groups,
+)
 
 __all__ = [
     "QueryEngine",
@@ -536,10 +545,14 @@ class QueryEngine:
 
         The classical lower-bound kNN refinement, consumed lazily: the
         backend yields candidates in ascending lower-bound order
-        (:meth:`IndexBackend.knn_iter`); each is verified with
-        early-abandoning DTW thresholded at the current *k*-th best
-        distance, and the walk stops as soon as the next lower bound
-        exceeds that threshold — no further sequence can qualify.
+        (:meth:`IndexBackend.knn_iter`).  Until *k* matches exist there
+        is no threshold, so the first *k* candidates are fetched in that
+        order and verified together at ε=inf — one stacked bounded pass
+        per equal-length group (:func:`~repro.core.cascade.length_groups`).
+        Each later candidate is verified with early-abandoning DTW
+        thresholded at the current *k*-th best distance, and the walk
+        stops as soon as the next lower bound exceeds that threshold —
+        no further sequence can qualify.
         """
         q = as_sequence(query)
         if len(q) == 0:
@@ -549,20 +562,36 @@ class QueryEngine:
             "engine.knn", backend=self._backend.name, k=k
         ):
             with timed("engine.knn.seconds"):
+                candidates = self._backend.knn_iter(q.values)
+                seed = [
+                    (seq_id, self._db.fetch(seq_id))
+                    for _, seq_id in islice(candidates, k)
+                ]
                 found: list[SearchOutcome] = []
-                examined = 0
-                for lb, seq_id in self._backend.knn_iter(q.values):
-                    if len(found) >= k and lb > found[k - 1].distance:
+                with timed("dtw.verify.seconds"):
+                    lengths = np.array([len(s) for _, s in seed], dtype=np.int64)
+                    for _, positions in length_groups(lengths):
+                        picks = positions.tolist()
+                        distances = dtw_max_early_abandon(
+                            np.stack([seed[i][1].values for i in picks]),
+                            q.values,
+                            float("inf"),
+                            stacked=True,
+                        )
+                        for i, distance in zip(picks, distances.tolist()):
+                            seq_id, stored = seed[i]
+                            found.append(SearchOutcome(seq_id, distance, stored))
+                found.sort(key=lambda m: (m.distance, m.seq_id))
+                examined = len(seed)
+                for lb, seq_id in candidates:
+                    threshold = found[k - 1].distance
+                    if lb > threshold:
                         break
-                    threshold = (
-                        found[k - 1].distance
-                        if len(found) >= k
-                        else float("inf")
-                    )
                     stored = self._db.fetch(seq_id)
-                    distance = dtw_max_early_abandon(
-                        stored.values, q.values, threshold
-                    )
+                    with timed("dtw.verify.seconds"):
+                        distance = dtw_max_early_abandon(
+                            stored.values, q.values, threshold
+                        )
                     examined += 1
                     if distance <= threshold:
                         found.append(SearchOutcome(seq_id, distance, stored))

@@ -409,6 +409,7 @@ class ShardedDatabase:
     ) -> QueryResult:
         """:meth:`search` with shard-merged stats on the return path."""
         check_epsilon(epsilon)
+        query = as_sequence(query)
         with self._query_scope() as per_query, maybe_span(
             "sharded.search", shards=self._n, backend=self._backend_name
         ):
@@ -543,6 +544,7 @@ class ShardedDatabase:
         of the union of the per-shard lists.
         """
         check_k(k)
+        query = as_sequence(query)
         with self._query_scope() as per_query, maybe_span(
             "sharded.knn", shards=self._n, backend=self._backend_name, k=k
         ):

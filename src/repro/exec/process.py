@@ -283,6 +283,15 @@ class ProcessExecutor(ShardExecutor):
 
     # -- execution -----------------------------------------------------------
 
+    def _send(self, shard: int, conn: Connection, message: tuple[Any, ...]) -> None:
+        try:
+            conn.send(message)
+        except OSError as exc:
+            raise ExecutorError(
+                f"shard {shard} worker died before the command reached it "
+                f"(exitcode={self._procs[shard].exitcode})"
+            ) from exc
+
     def _receive(self, shard: int, conn: Connection) -> tuple[Any, Any, Any]:
         try:
             reply = conn.recv()
@@ -302,8 +311,8 @@ class ProcessExecutor(ShardExecutor):
         conns = self._ensure_started()
         trace = active_tracer() is not None
         message = ("call", method, tuple(args), dict(kwargs or {}), trace)
-        for conn in conns:
-            conn.send(message)
+        for shard, conn in enumerate(conns):
+            self._send(shard, conn, message)
         # Drain every shard before raising so one failed shard never
         # leaves stale replies in the other pipes.
         replies = [
@@ -332,7 +341,7 @@ class ProcessExecutor(ShardExecutor):
             # mutated parent state at spawn time.
             return
         conn = self._conns[shard]
-        conn.send(("mirror", method, tuple(args)))
+        self._send(shard, conn, ("mirror", method, tuple(args)))
         status, payload, _ = self._receive(shard, conn)
         if status == "err":
             raise payload

@@ -44,18 +44,23 @@ def as_array(values: SequenceLike, *, allow_empty: bool = True) -> np.ndarray:
     """Coerce *values* to a read-only contiguous 1-d float64 array.
 
     Accepts a :class:`Sequence`, a numpy array, or any iterable of numbers.
-    Raises :class:`ValidationError` for non-1-d input or non-finite
-    elements, and :class:`EmptySequenceError` if *values* is empty while
-    ``allow_empty`` is false.
+    Raises :class:`ValidationError` for non-numeric or non-finite
+    elements and non-1-d input, and :class:`EmptySequenceError` if
+    *values* is empty while ``allow_empty`` is false.
     """
     if isinstance(values, Sequence):
         arr = values.values
     else:
         try:
-            arr = np.asarray(values, dtype=np.float64)
-        except TypeError:
-            # Generators and other one-shot iterables.
-            arr = np.fromiter(values, dtype=np.float64)
+            try:
+                arr = np.asarray(values, dtype=np.float64)
+            except TypeError:
+                # Generators and other one-shot iterables.
+                arr = np.fromiter(values, dtype=np.float64)
+        except (TypeError, ValueError) as error:
+            raise ValidationError(
+                f"sequence elements must be numbers: {error}"
+            ) from None
         if arr.ndim != 1:
             raise ValidationError(
                 f"sequence must be 1-dimensional, got shape {arr.shape}"

@@ -213,6 +213,26 @@ class TestBoundaryValidation:
             )
 
 
+    @pytest.mark.parametrize("executor", ("serial", "process"))
+    def test_non_numeric_sequence_rejected_before_fan_out(
+        self, executor, arrays, queries
+    ):
+        with _facade(arrays[:8], shards=2, executor=executor) as facade:
+            for call in (
+                lambda: facade.search(["a"], 0.5),
+                lambda: facade.search_many([["a"]], 0.5),
+                lambda: facade.knn(["a"], 3),
+                lambda: facade.insert(["x"]),
+            ):
+                with pytest.raises(ValidationError, match="must be numbers"):
+                    call()
+            counters = facade.metrics_snapshot().counters
+            assert counters.get("sharded.queries", 0) == 0
+            assert counters.get("sharded.knn_queries", 0) == 0
+            assert len(facade) == 8
+            assert len(facade.knn(queries[0], 3)) == 3
+
+
 class TestThreadPoolReuse:
     def test_consecutive_queries_reuse_one_pool(self, arrays, queries):
         """Regression: the old router built a fresh pool per call."""
@@ -280,3 +300,15 @@ class TestExecutorLifecycle:
                 facade.search(np.array([]), 1.0)
             # the plane survives a failed query
             assert facade.search(arrays[0], 0.0)
+
+    def test_dead_worker_is_an_executor_error(self, arrays, queries):
+        """A worker gone before a command reaches it is an
+        ``ExecutorError``, not a bare broken pipe (which the CLI reads as
+        its reader going away)."""
+        with _facade(arrays[:6], shards=2, executor="process") as facade:
+            facade.search(queries[0], 1.0)
+            worker = facade.sharded.executor._procs[1]
+            worker.terminate()
+            worker.join(timeout=30)
+            with pytest.raises(ExecutorError, match="shard 1 worker died"):
+                facade.search(queries[0], 1.0)

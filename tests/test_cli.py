@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 from repro.storage.database import SequenceDatabase
 
@@ -313,3 +319,24 @@ class TestProfile:
         rc = main(["profile", "--validate", str(log)])
         assert rc == 1
         assert "schema_version" in capsys.readouterr().err
+
+
+class TestClosedPipe:
+    def test_reader_closing_stdout_early_ends_quietly(self, database_file):
+        """``repro query ... | head`` with the reader gone before any
+        output: exit 0, nothing on stderr."""
+        source_root = Path(repro.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(source_root)}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "query",
+             "--db", str(database_file), "--query", "0,1,2,1", "--knn", "20"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert proc.stdout is not None and proc.stderr is not None
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert stderr == b""

@@ -46,6 +46,20 @@ class TestAsArray:
         with pytest.raises(ValidationError):
             as_array([1.0, float("inf")])
 
+    @pytest.mark.parametrize(
+        "values",
+        (["a"], [1.0, "x"], [[1.0], [2.0, 3.0]], object()),
+        ids=("string", "mixed", "ragged", "not-iterable"),
+    )
+    def test_rejects_non_numeric(self, values):
+        with pytest.raises(ValidationError, match="must be numbers") as info:
+            as_array(values)
+        assert "\n" not in str(info.value)
+
+    def test_rejects_non_numeric_generator(self):
+        with pytest.raises(ValidationError, match="must be numbers"):
+            as_array(v for v in ("1", "b"))
+
     def test_empty_allowed_by_default(self):
         assert as_array([]).size == 0
 
